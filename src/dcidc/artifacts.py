@@ -3,21 +3,22 @@
 A checkpoint is one JSON header line (dims, activations, epoch) followed by
 the dcmx blocks of each layer's weight matrix and bias row, concatenated.
 A run manifest records everything needed to reproduce a training run
-byte-for-byte: the resolved configuration, the network description, the
-dataset fingerprint, and the artifact paths.
+byte-for-byte: the run's RunSpec, the dataset fingerprint, and the
+artifact paths.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import os
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .activations import ActivationKind, parse_kind
+from .activations import parse_kind
 from .autoencoder import NetworkParams
 from .data import dcmx_bytes, read_dcmx
 from .training import EpochReport, TrainConfig
@@ -99,53 +100,81 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+NORMALIZE_MODES = {"minmax": "minmax_per_band", "zscore": "zscore_per_band", "none": None}
+
+
+@dataclass
+class RunSpec:
+    """Everything a training run reads: train, sweep and replay run from it."""
+
+    data: str
+    format: str | None
+    labels: str | None
+    normalize: str  # a key of NORMALIZE_MODES
+    mask_unlabeled: bool
+    map_shape: list[int] | None  # [height, width] of the unmasked image
+    dims: list[int]  # encoder widths incl. the input; the decoder mirrors them
+    activation: str
+    dec_activation: str | None
+    config: TrainConfig
+
+    def __post_init__(self):
+        if self.normalize not in NORMALIZE_MODES:
+            raise ValueError(
+                f"unknown normalize mode {self.normalize!r}; choose one of: "
+                + ", ".join(NORMALIZE_MODES)
+            )
+        if self.map_shape is not None and not self.mask_unlabeled:
+            raise ValueError("--map-shape needs --mask-unlabeled")
+
+
+def _checked(record, cls, where: str) -> dict:
+    """record as a dict, once it holds exactly the fields of dataclass cls."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected an object, got {type(record).__name__}")
+    expected = {f.name for f in fields(cls)}
+    unknown, missing = sorted(set(record) - expected), sorted(expected - set(record))
+    if unknown or missing:
+        raise ValueError(f"{where}: unknown keys {unknown}, missing keys {missing}")
+    return dict(record)
+
+
+_SPEC_PATHS = ("data", "labels")
+
+
 @dataclass
 class RunManifest:
+    """A run's spec beside its data digest and artifact paths.
+
+    On disk the spec's data and labels paths are relative to the manifest's
+    own directory, so a run directory replays from any working directory.
+    """
+
     engine_version: str
-    data_path: str
-    data_format: str
+    spec: RunSpec
     data_sha256: str
-    labels_path: str | None
-    normalize: str | None
-    mask_unlabeled: bool
-    dims: list[int]
-    enc_activation: str
-    dec_activation: str
-    config: dict
     artifacts: dict
 
     @classmethod
-    def build(
-        cls,
-        data_path,
-        data_format: str,
-        labels_path,
-        normalize_mode: str | None,
-        mask: bool,
-        dims: list[int],
-        enc_activation: ActivationKind,
-        dec_activation: ActivationKind,
-        config: TrainConfig,
-        artifacts: dict,
-    ) -> "RunManifest":
-        return cls(
-            engine_version=__version__,
-            data_path=str(data_path),
-            data_format=data_format,
-            data_sha256=sha256_file(data_path),
-            labels_path=None if labels_path is None else str(labels_path),
-            normalize=normalize_mode,
-            mask_unlabeled=mask,
-            dims=list(dims),
-            enc_activation=enc_activation.value,
-            dec_activation=dec_activation.value,
-            config=asdict(config),
-            artifacts=artifacts,
-        )
+    def build(cls, spec: RunSpec, artifacts: dict) -> "RunManifest":
+        return cls(__version__, spec, sha256_file(spec.data), artifacts)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        base = os.path.dirname(os.path.abspath(path))
+        record = asdict(self)
+        for key in _SPEC_PATHS:
+            if record["spec"][key] is not None:
+                record["spec"][key] = os.path.relpath(record["spec"][key], base)
+        Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        return cls(**json.loads(Path(path).read_text()))
+        record = _checked(json.loads(Path(path).read_text()), cls, str(path))
+        spec = _checked(record["spec"], RunSpec, f"{path}: spec")
+        config = _checked(spec["config"], TrainConfig, f"{path}: spec.config")
+        base = os.path.dirname(os.path.abspath(path))
+        for key in _SPEC_PATHS:
+            if spec[key] is not None:
+                spec[key] = os.path.normpath(os.path.join(base, spec[key]))
+        record["spec"] = RunSpec(**{**spec, "config": TrainConfig(**config)})
+        return cls(**record)

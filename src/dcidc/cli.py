@@ -1,29 +1,15 @@
 """Command-line surface: train / replay / gradcheck / evaluate / sweep / synth.
 
+train and sweep turn their flags into one RunSpec; train writes it into the
+run's manifest and replay runs it again from there.
+
 Exit codes: 0 success, 2 for bad input (I/O, parsing, validation), 1 for
 runtime failures (divergence, collapsed centers, gradient check over
-tolerance).  DCIDC_THREADS caps BLAS threads; it is applied before numpy
-is first imported, so it only takes effect for fresh processes.
+tolerance, a sweep whose every cell failed).  BLAS threads are capped by
+OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, set before the process starts.
 """
 
 from __future__ import annotations
-
-import os
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("DCIDC_THREADS")
-    if cap:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
-
-
-_cap_threads()
 
 import argparse
 import sys
@@ -41,10 +27,9 @@ from .training import DivergenceError, TrainConfig, lambda1_sweep, train
 
 def _parse_dims(text: str) -> list[int]:
     try:
-        encoder = [int(tok) for tok in text.split(",")]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"--dims expects comma-separated integers, got {text!r}")
-    return net.mirror_dims(encoder)
 
 
 def _parse_batch(text: str) -> int | None:
@@ -53,15 +38,18 @@ def _parse_batch(text: str) -> int | None:
     return int(text)
 
 
-def _parse_map_shape(text: str) -> tuple[int, int]:
+def _parse_map_shape(text: str) -> list[int]:
     try:
         h, w = (int(tok) for tok in text.lower().split("x"))
-        return h, w
     except ValueError:
         raise ValueError(f"--map-shape expects HEIGHTxWIDTH, got {text!r}")
+    if h < 1 or w < 1:
+        raise ValueError(f"--map-shape needs positive sides, got {text!r}")
+    return [h, w]
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """Flags shared by train and sweep; each one is a RunSpec field."""
     p.add_argument("--data", required=True, help="feature file (csv or dcmx)")
     p.add_argument("--format", choices=("csv", "dcmx"), default=None)
     p.add_argument("--k", type=int, required=True, help="number of clusters")
@@ -71,7 +59,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    choices=("tanh", "sigmoid", "nssigmoid", "softplus"))
     p.add_argument("--dec-activation", default=None,
                    choices=("tanh", "sigmoid", "nssigmoid", "softplus"))
-    p.add_argument("--lambda1", type=float, default=0.3)
     p.add_argument("--lambda2", type=float, default=0.0003)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=300)
@@ -80,53 +67,72 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--labels", default=None,
                    help="label csv (defaults to <data stem>.labels.csv if present)")
-    p.add_argument("--out-dir", default="dcidc-out")
-    p.add_argument("--normalize", default="minmax",
-                   choices=("minmax", "zscore", "none"))
+    p.add_argument("--normalize", default="minmax", choices=tuple(art.NORMALIZE_MODES))
     p.add_argument("--mask-unlabeled", action="store_true",
                    help="drop rows labeled 0 and re-index the rest")
-    p.add_argument("--map-shape", default=None,
-                   help="HEIGHTxWIDTH of the source image, enables PGM label map")
 
 
-_NORMALIZE_MODES = {"minmax": "minmax_per_band", "zscore": "zscore_per_band"}
+def _spec_from_args(args) -> art.RunSpec:
+    return art.RunSpec(
+        data=args.data,
+        format=args.format,
+        labels=args.labels,
+        normalize=args.normalize,
+        mask_unlabeled=args.mask_unlabeled,
+        map_shape=None if args.map_shape is None else _parse_map_shape(args.map_shape),
+        dims=_parse_dims(args.dims),
+        activation=args.activation,
+        dec_activation=args.dec_activation,
+        config=TrainConfig(
+            k=args.k,
+            lambda1=args.lambda1,
+            lambda2=args.lambda2,
+            lr=args.lr,
+            max_epochs=args.epochs,
+            tol=args.tol,
+            seed=args.seed,
+            batch_size=_parse_batch(args.batch),
+        ),
+    )
 
 
-def _load_dataset(args) -> data.Dataset:
-    ds = data.load(args.data, args.format)
-    if args.labels is not None:
-        labels = data.load_label_csv(args.labels)
+def _load_dataset(spec: art.RunSpec) -> data.Dataset:
+    ds = data.load(spec.data, spec.format)
+    if spec.labels is not None:
+        labels = data.load_label_csv(spec.labels)
         if labels.size != ds.n:
             raise data.DataFormatError(
-                f"{args.labels}: {labels.size} labels for {ds.n} rows"
+                f"{spec.labels}: {labels.size} labels for {ds.n} rows"
             )
         ds = data.Dataset(ds.features, labels=labels, mask=ds.mask, meta=ds.meta)
-    if args.mask_unlabeled:
+    if spec.mask_unlabeled:
         ds = data.mask_unlabeled(ds)
-    if args.normalize != "none":
-        ds = data.normalize(ds, _NORMALIZE_MODES[args.normalize])
+    if spec.normalize != "none":
+        ds = data.normalize(ds, art.NORMALIZE_MODES[spec.normalize])
     return ds
 
 
-def _run_training(args, out_dir: Path) -> None:
-    ds = _load_dataset(args)
-    dims = _parse_dims(args.dims)
-    if dims[0] != ds.dim:
+def _prepare(spec: art.RunSpec):
+    """(dataset, mirrored dims, encoder and decoder activations) of a spec."""
+    ds = _load_dataset(spec)
+    if spec.dims[0] != ds.dim:
         raise ValueError(
-            f"--dims starts at {dims[0]} but the data has {ds.dim} features"
+            f"--dims starts at {spec.dims[0]} but the data has {ds.dim} features"
         )
-    enc = parse_kind(args.activation)
-    dec = enc if args.dec_activation is None else parse_kind(args.dec_activation)
-    config = TrainConfig(
-        k=args.k,
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        lr=args.lr,
-        max_epochs=args.epochs,
-        tol=args.tol,
-        seed=args.seed,
-        batch_size=_parse_batch(args.batch),
-    )
+    enc = parse_kind(spec.activation)
+    dec = enc if spec.dec_activation is None else parse_kind(spec.dec_activation)
+    return ds, net.mirror_dims(spec.dims), enc, dec
+
+
+def _run_training(spec: art.RunSpec, out_dir: Path) -> None:
+    ds, dims, enc, dec = _prepare(spec)
+    if spec.map_shape is not None:
+        h, w = spec.map_shape
+        full_size = ds.meta["full_size"]
+        if h * w != full_size:
+            raise ValueError(
+                f"--map-shape {h}x{w} holds {h * w} pixels, the image has {full_size}"
+            )
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "epoch_log.csv"
     with open(log_path, "w", encoding="ascii") as log:
@@ -137,7 +143,7 @@ def _run_training(args, out_dir: Path) -> None:
             log.flush()
 
         params, state, reports = train(
-            ds.features, config, dims, enc, dec, labels=ds.labels, on_epoch=stream
+            ds.features, spec.config, dims, enc, dec, labels=ds.labels, on_epoch=stream
         )
     labels_out = state.labels()
     data.save_label_csv(out_dir / "labels.csv", labels_out)
@@ -149,29 +155,16 @@ def _run_training(args, out_dir: Path) -> None:
         "checkpoint": "checkpoint.bin",
     }
     if ds.mask is not None:
-        full = data.scatter_labels(
-            labels_out, ds.mask, int(ds.meta.get("full_size", ds.n)), sentinel=-1
-        )
+        full = data.scatter_labels(labels_out, ds.mask, ds.meta["full_size"], sentinel=-1)
         data.save_label_csv(out_dir / "labels_full.csv", full)
         paths["labels_full_csv"] = "labels_full.csv"
-        if args.map_shape is not None:
-            h, w = _parse_map_shape(args.map_shape)
+        if spec.map_shape is not None:
+            h, w = spec.map_shape
             grid = np.where(full < 0, 255, full)
             art.write_pgm(out_dir / "label_map.pgm", grid, w, h)
             paths["label_map_pgm"] = "label_map.pgm"
     art.save_checkpoint(out_dir / "checkpoint.bin", params, reports[-1].epoch)
-    manifest = art.RunManifest.build(
-        args.data,
-        args.format or ("dcmx" if str(args.data).endswith(".dcmx") else "csv"),
-        args.labels,
-        None if args.normalize == "none" else _NORMALIZE_MODES[args.normalize],
-        args.mask_unlabeled,
-        dims,
-        enc,
-        dec,
-        config,
-        paths,
-    )
+    manifest = art.RunManifest.build(spec, paths)
     manifest.save(out_dir / "manifest.json")
     final = reports[-1]
     line = f"epochs={final.epoch} j_total={final.j_total:.6g}"
@@ -181,44 +174,25 @@ def _run_training(args, out_dir: Path) -> None:
 
 
 def cmd_train(args) -> int:
-    _run_training(args, Path(args.out_dir))
+    _run_training(_spec_from_args(args), Path(args.out_dir))
     return 0
 
 
 def cmd_replay(args) -> int:
     manifest = art.RunManifest.load(args.manifest)
-    digest = art.sha256_file(manifest.data_path)
+    spec = manifest.spec
+    digest = art.sha256_file(spec.data)
     if digest != manifest.data_sha256:
         raise ValueError(
-            f"{manifest.data_path}: fingerprint {digest[:12]}... does not match "
+            f"{spec.data}: fingerprint {digest[:12]}... does not match "
             f"manifest {manifest.data_sha256[:12]}..."
         )
-    ns = argparse.Namespace(
-        data=manifest.data_path,
-        format=manifest.data_format,
-        k=manifest.config["k"],
-        dims=",".join(str(d) for d in manifest.dims[: len(manifest.dims) // 2 + 1]),
-        activation=manifest.enc_activation,
-        dec_activation=manifest.dec_activation,
-        lambda1=manifest.config["lambda1"],
-        lambda2=manifest.config["lambda2"],
-        lr=manifest.config["lr"],
-        epochs=manifest.config["max_epochs"],
-        tol=manifest.config["tol"],
-        batch="full" if manifest.config["batch_size"] is None else str(manifest.config["batch_size"]),
-        seed=manifest.config["seed"],
-        labels=manifest.labels_path,
-        normalize={v: k for k, v in _NORMALIZE_MODES.items()}.get(manifest.normalize, "none"),
-        mask_unlabeled=manifest.mask_unlabeled,
-        map_shape=None,
-        out_dir=args.out_dir,
-    )
-    _run_training(ns, Path(args.out_dir))
+    _run_training(spec, Path(args.out_dir))
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    dims = _parse_dims(args.dims)
+    dims = net.mirror_dims(_parse_dims(args.dims))
     enc = parse_kind(args.activation)
     dec = enc if args.dec_activation is None else parse_kind(args.dec_activation)
     rng = np.random.default_rng(args.seed)
@@ -226,19 +200,9 @@ def cmd_gradcheck(args) -> int:
     batch = rng.uniform(0.0, 1.0, size=(args.samples, dims[0]))
     assignments = clusters.init_indicator(args.samples, args.k, args.seed)
     centers = rng.normal(0.0, 0.5, size=(params.code_dim, args.k))
-    trace = net.forward(params, batch)
-    analytic = net.backward(
-        params, trace, assignments, centers, args.lambda1, args.lambda2
-    )
-    if args.perturb:
-        # test hook: flip the sign of the largest-magnitude gradient entry
-        target = max(analytic.d_weights, key=lambda w: np.abs(w).max())
-        idx = np.unravel_index(np.argmax(np.abs(target)), target.shape)
-        target[idx] = -target[idx]
-    numeric = gradcheck.numeric_gradients(
+    worst, where, _, _ = gradcheck.check(
         params, batch, assignments, centers, args.lambda1, args.lambda2, args.step
     )
-    worst, where = gradcheck.max_relative_error(analytic, numeric)
     print(f"max relative error {worst:.3e} at {where} (tolerance {args.tolerance:g})")
     return 0 if worst <= args.tolerance else 1
 
@@ -252,27 +216,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ds = _load_dataset(args)
+    spec = _spec_from_args(args)
+    ds, dims, enc, dec = _prepare(spec)
     if ds.labels is None:
         raise ValueError("sweep needs labels (companion file or --labels)")
-    dims = _parse_dims(args.dims)
-    if dims[0] != ds.dim:
-        raise ValueError(
-            f"--dims starts at {dims[0]} but the data has {ds.dim} features"
-        )
-    enc = parse_kind(args.activation)
-    dec = enc if args.dec_activation is None else parse_kind(args.dec_activation)
-    config = TrainConfig(
-        k=args.k,
-        lambda2=args.lambda2,
-        lr=args.lr,
-        max_epochs=args.epochs,
-        tol=args.tol,
-        seed=args.seed,
-        batch_size=_parse_batch(args.batch),
-    )
     grid = [float(tok) for tok in args.grid.split(",")]
-    rows = lambda1_sweep(ds.features, config, dims, grid, ds.labels, enc, dec)
+    rows = lambda1_sweep(ds.features, spec.config, dims, grid, ds.labels, enc, dec)
     lines = ["lambda1,accuracy,nmi"]
     for row in rows:
         lines.append(f"{row.lambda1:g},{row.accuracy:.6f},{row.nmi:.6f}")
@@ -283,7 +232,7 @@ def cmd_sweep(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    return 1 if all(row.error for row in rows) else 0
 
 
 def cmd_synth(args) -> int:
@@ -305,7 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train and write run artifacts")
-    _add_train_flags(p)
+    _add_run_flags(p)
+    p.add_argument("--lambda1", type=float, default=0.3)
+    p.add_argument("--out-dir", default="dcidc-out")
+    p.add_argument("--map-shape", default=None,
+                   help="HEIGHTxWIDTH of the unmasked image, enables PGM label map;"
+                        " needs --mask-unlabeled")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("replay", help="re-run a recorded manifest")
@@ -326,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--step", type=float, default=gradcheck.DEFAULT_STEP)
     p.add_argument("--tolerance", type=float, default=1e-5)
-    p.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("evaluate", help="accuracy and NMI of two label files")
@@ -335,10 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="one train run per lambda1 grid value")
-    _add_train_flags(p)
+    _add_run_flags(p)
     p.add_argument("--grid", default="0,0.1,0.3,1.0")
     p.add_argument("--out", default=None, help="sweep CSV path (default stdout)")
-    p.set_defaults(func=cmd_sweep)
+    # the grid sets lambda1 per cell; a sweep writes no label map
+    p.set_defaults(func=cmd_sweep, lambda1=TrainConfig.lambda1, map_shape=None)
 
     p = sub.add_parser("synth", help="generate a Gaussian-blob benchmark")
     p.add_argument("--out", required=True)

@@ -1,8 +1,8 @@
-"""Dense matrix primitives shared by every other module.
+"""Shared matrix kernels: a guarded SPD solve and the squared Frobenius norm.
 
-Matrices are 2-D float64 ``numpy.ndarray`` values in C (row-major) order,
-following the rows-are-samples convention used throughout the package.
-Vectors (biases, label columns) are 1-D float64 arrays.  All operations are
+solve_spd is the Cholesky solve behind the assignment update; frobenius_sq
+is the squared norm in the loss terms.  Other matrix arithmetic is plain
+numpy on 2-D float64 arrays, one row per sample.  Both kernels are
 deterministic: identical inputs give bit-identical outputs.
 """
 
@@ -21,22 +21,6 @@ class ShapeMismatchError(ValueError):
 
 class SingularMatrixError(ValueError):
     """System stayed numerically singular even after the ridge retry."""
-
-
-def as_matrix(values) -> np.ndarray:
-    """Coerce nested sequences / arrays to a 2-D float64 row-major matrix."""
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul: inner dimensions differ, {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,27 +73,3 @@ def frobenius_sq(a: np.ndarray) -> float:
     """Sum of squared entries."""
     flat = a.ravel()
     return float(flat @ flat)
-
-
-def _check_same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"{op}: shapes differ, {a.shape} vs {b.shape}")
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape("add", a, b)
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape("sub", a, b)
-    return a - b
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    return c * a
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape("hadamard", a, b)
-    return a * b

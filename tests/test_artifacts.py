@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dcidc.activations import ActivationKind
 from dcidc.artifacts import (
     EPOCH_LOG_HEADER,
     RunManifest,
+    RunSpec,
     epoch_csv_line,
     load_checkpoint,
     save_checkpoint,
@@ -69,13 +72,16 @@ def test_write_pgm_validates(tmp_path):
 def test_manifest_roundtrip(tmp_path):
     data_file = tmp_path / "d.csv"
     data_file.write_text("1,2\n3,4\n")
-    manifest = RunManifest.build(
-        data_file, "csv", None, "minmax_per_band", False,
-        [2, 1, 2], ActivationKind.TANH, ActivationKind.TANH,
-        TrainConfig(k=2), {"labels_csv": "labels.csv"},
+    spec = RunSpec(
+        data=str(data_file), format="csv", labels=None, normalize="minmax",
+        mask_unlabeled=False, map_shape=None, dims=[2, 1], activation="tanh",
+        dec_activation=None, config=TrainConfig(k=2),
     )
-    path = tmp_path / "manifest.json"
+    manifest = RunManifest.build(spec, {"labels_csv": "labels.csv"})
+    path = tmp_path / "run" / "manifest.json"
+    path.parent.mkdir()
     manifest.save(path)
+    assert json.loads(path.read_text())["spec"]["data"] == "../d.csv"
     loaded = RunManifest.load(path)
     assert loaded == manifest
     assert loaded.data_sha256 == sha256_file(data_file)

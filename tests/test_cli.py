@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from dcidc import autoencoder
 from dcidc.cli import main
 from dcidc.data import load_label_csv, save_label_csv
 
@@ -12,6 +15,24 @@ def blob_file(tmp_path):
                  "--n-per-cluster", "30", "--separation", "8",
                  "--seed", "5"]) == 0
     return path
+
+
+def image_file(directory):
+    """A 12-pixel, 4-band image whose pixels 0, 3 and 8 are background."""
+    rng = np.random.default_rng(0)
+    data = directory / "img.csv"
+    rows = rng.uniform(0, 1, size=(12, 4))
+    data.write_text("\n".join(",".join(f"{v:.6f}" for v in r) for r in rows) + "\n")
+    save_label_csv(directory / "img.labels.csv",
+                   [0, 1, 2, 0, 1, 2, 1, 2, 0, 1, 2, 1])
+    return data
+
+
+def image_args(data, out_dir, *extra):
+    return [
+        "train", "--data", str(data), "--k", "2", "--dims", "4,3,2",
+        "--epochs", "5", "--mask-unlabeled", "--out-dir", str(out_dir), *extra,
+    ]
 
 
 def train_args(blob_file, out_dir, *extra):
@@ -65,25 +86,29 @@ class TestTrain:
         assert "9" in capsys.readouterr().err
 
     def test_mask_and_map_artifacts(self, tmp_path):
-        rng = np.random.default_rng(0)
-        data = tmp_path / "img.csv"
-        rows = rng.uniform(0, 1, size=(12, 4))
-        data.write_text("\n".join(",".join(f"{v:.6f}" for v in r) for r in rows) + "\n")
-        save_label_csv(tmp_path / "img.labels.csv",
-                       [0, 1, 2, 0, 1, 2, 1, 2, 0, 1, 2, 1])
+        data = image_file(tmp_path)
         out = tmp_path / "run"
-        code = main([
-            "train", "--data", str(data), "--k", "2", "--dims", "4,3,2",
-            "--epochs", "5", "--mask-unlabeled", "--map-shape", "3x4",
-            "--out-dir", str(out),
-        ])
-        assert code == 0
+        assert main(image_args(data, out, "--map-shape", "3x4")) == 0
         full = load_label_csv(out / "labels_full.csv")
         assert full.size == 12
         assert np.all(full[[0, 3, 8]] == -1)  # background rows stay sentinel
         raw = (out / "label_map.pgm").read_bytes()
         assert raw.startswith(b"P5\n4 3\n255\n")
         assert raw[-12:][0] == 255  # first pixel was masked out
+
+    def test_map_shape_needs_mask_unlabeled(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = image_args(image_file(tmp_path), out, "--map-shape", "3x4")
+        args.remove("--mask-unlabeled")
+        assert main(args) == 2
+        assert "--mask-unlabeled" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_map_shape_must_fit_image_before_training(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(image_args(image_file(tmp_path), out, "--map-shape", "5x5")) == 2
+        assert "5x5" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestReplay:
@@ -106,6 +131,45 @@ class TestReplay:
         assert "fingerprint" in capsys.readouterr().err
 
 
+class TestReplayAnywhere:
+    ARTIFACTS = ("epoch_log.csv", "labels.csv", "labels.dcmx", "labels_full.csv",
+                 "label_map.pgm", "checkpoint.bin")
+
+    def test_masked_run_from_another_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        image_file(tmp_path)
+        assert main(image_args("img.csv", "run", "--labels", "img.labels.csv",
+                               "--map-shape", "3x4")) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["replay", "../run/manifest.json", "--out-dir", "copy"]) == 0
+        for name in self.ARTIFACTS:
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (elsewhere / "copy" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("edit", ["extra", "missing", "config", "value"])
+    def test_manifest_keys_checked(self, blob_file, tmp_path, capsys, edit):
+        out = tmp_path / "run"
+        assert main(train_args(blob_file, out)) == 0
+        path = out / "manifest.json"
+        record = json.loads(path.read_text())
+        if edit == "extra":
+            record["note"] = "hand-edited"
+        elif edit == "missing":
+            del record["spec"]["normalize"]
+        elif edit == "config":
+            record["spec"]["config"]["momentum"] = 0.9
+        else:
+            record["spec"]["normalize"] = "l2"
+        path.write_text(json.dumps(record))
+        assert main(["replay", str(path), "--out-dir", str(tmp_path / "copy")]) == 2
+        err = capsys.readouterr().err
+        expected = {"extra": "note", "missing": "normalize", "config": "momentum",
+                    "value": "'l2'"}
+        assert expected[edit] in err
+
+
 class TestGradcheck:
     def test_default_passes(self, capsys):
         assert main(["gradcheck"]) == 0
@@ -115,9 +179,18 @@ class TestGradcheck:
         assert main(["gradcheck", "--lambda1", "0.7",
                      "--activation", "softplus"]) == 0
 
-    def test_perturb_hook_detected(self, capsys):
-        assert main(["gradcheck", "--perturb"]) == 1
-        assert "W" in capsys.readouterr().out
+    def test_perturb_hook_detected(self, monkeypatch, capsys):
+        exact = autoencoder.backward
+
+        def flipped(*args, **kwargs):
+            grads = exact(*args, **kwargs)
+            target = max(grads.d_weights, key=lambda w: np.abs(w).max())
+            target[np.unravel_index(np.argmax(np.abs(target)), target.shape)] *= -1
+            return grads
+
+        monkeypatch.setattr(autoencoder, "backward", flipped)
+        assert main(["gradcheck"]) == 1
+        assert " at W" in capsys.readouterr().out
 
 
 class TestEvaluate:
@@ -160,3 +233,12 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("0,")
         assert lines[2].startswith("0.3,")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_every_cell_diverging_exits_1(self, blob_file, capsys):
+        assert main([
+            "sweep", "--data", str(blob_file), "--k", "3", "--dims", "6,4,3",
+            "--epochs", "20", "--seed", "5", "--grid", "0,0.3",
+            "--lr", "1e300", "--lambda2", "1",
+        ]) == 1
+        assert capsys.readouterr().err.count("failed") == 2
