@@ -48,11 +48,7 @@ def main() -> None:
                     help="cluster all pixels instead of dropping class 0")
     args = ap.parse_args()
 
-    ds = load(args.data)
-    if args.labels:
-        from dcidc.data import load_label_csv
-
-        ds.labels = load_label_csv(args.labels)
+    ds = load(args.data, labels_file=args.labels)
     if ds.labels is None:
         raise SystemExit("ground-truth labels are required for this harness")
     if not args.keep_background:

@@ -1,9 +1,9 @@
 """Elementwise activation functions and their derivatives.
 
 Four kinds are supported: tanh, the logistic sigmoid, the non-saturating
-sigmoid y / (1 + |y|), and softplus.  Derivatives are taken with respect to
-the pre-activation input, as the backprop recursions require.  Tanh is the
-default for both encoder and decoder.
+sigmoid y / (1 + |y|), and softplus.  Derivatives are written in the
+layer's output z = g(y), the one value backprop keeps.  Tanh is the default
+for both encoder and decoder.
 """
 
 from __future__ import annotations
@@ -63,17 +63,15 @@ def apply(kind: ActivationKind, y: np.ndarray) -> np.ndarray:
     raise ValueError(f"unhandled activation kind {kind!r}")
 
 
-def derivative(kind: ActivationKind, y: np.ndarray) -> np.ndarray:
-    """Elementwise derivative at pre-activation y."""
+def derivative(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
+    """Elementwise derivative g'(y), given the output z = g(y)."""
     if kind is ActivationKind.TANH:
-        t = np.tanh(y)
-        return 1.0 - t * t
+        return 1.0 - z * z
     if kind is ActivationKind.SIGMOID:
-        s = _sigmoid(y)
-        return s * (1.0 - s)
+        return z * (1.0 - z)
     if kind is ActivationKind.NSSIGMOID:
-        d = 1.0 + np.abs(y)
-        return 1.0 / (d * d)
+        d = 1.0 - np.abs(z)  # = 1 / (1 + |y|)
+        return d * d
     if kind is ActivationKind.SOFTPLUS:
-        return _sigmoid(y)
+        return -np.expm1(-z)  # sigmoid(y) = 1 - exp(-softplus(y))
     raise ValueError(f"unhandled activation kind {kind!r}")

@@ -3,8 +3,8 @@
 A checkpoint is one JSON header line (dims, activations, epoch) followed by
 the dcmx blocks of each layer's weight matrix and bias row, concatenated.
 A run manifest records everything needed to reproduce a training run
-byte-for-byte: the run's RunSpec, the dataset fingerprint, and the
-artifact paths.
+byte-for-byte: the run's RunSpec, the fingerprints of its data and labels
+files, and the artifact paths.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+import types
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from . import __version__
 from .activations import parse_kind
 from .autoencoder import NetworkParams
-from .data import dcmx_bytes, read_dcmx
+from .data import dcmx_bytes, labels_path, read_dcmx
 from .training import EpochReport, TrainConfig
 
 EPOCH_LOG_HEADER = "epoch,j_total,j1,j2,j3,accuracy,nmi,empty_cluster_events"
@@ -128,36 +130,73 @@ class RunSpec:
             raise ValueError("--map-shape needs --mask-unlabeled")
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field's type hint; ints pass as floats."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
 def _checked(record, cls, where: str) -> dict:
-    """record as a dict, once it holds exactly the fields of dataclass cls."""
+    """record as a dict, once it holds exactly the fields of dataclass cls,
+    each fitting its type (nested dataclasses are the caller's to check)."""
     if not isinstance(record, dict):
         raise ValueError(f"{where}: expected an object, got {type(record).__name__}")
     expected = {f.name for f in fields(cls)}
     unknown, missing = sorted(set(record) - expected), sorted(expected - set(record))
     if unknown or missing:
         raise ValueError(f"{where}: unknown keys {unknown}, missing keys {missing}")
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        value = record[f.name]
+        if not is_dataclass(hints[f.name]) and not _fits(value, hints[f.name]):
+            raise ValueError(f"{where}.{f.name}: expected {f.type}, got {value!r}")
     return dict(record)
 
 
 _SPEC_PATHS = ("data", "labels")
 
 
+def _input_digests(spec: RunSpec) -> list[tuple]:
+    """(path, sha256) of the data file and of the labels file the run reads;
+    both are None when it reads no labels file."""
+    labels = labels_path(spec.data, spec.labels)
+    return [(spec.data, sha256_file(spec.data)),
+            (labels, None if labels is None else sha256_file(labels))]
+
+
 @dataclass
 class RunManifest:
-    """A run's spec beside its data digest and artifact paths.
+    """A run's spec beside its input digests and artifact paths.
 
     On disk the spec's data and labels paths are relative to the manifest's
     own directory, so a run directory replays from any working directory.
+    labels_sha256 is None when the run read no labels file.
     """
 
     engine_version: str
     spec: RunSpec
     data_sha256: str
+    labels_sha256: str | None
     artifacts: dict
 
     @classmethod
     def build(cls, spec: RunSpec, artifacts: dict) -> "RunManifest":
-        return cls(__version__, spec, sha256_file(spec.data), artifacts)
+        (_, data_digest), (_, labels_digest) = _input_digests(spec)
+        return cls(__version__, spec, data_digest, labels_digest, artifacts)
+
+    def check_inputs(self) -> None:
+        """Raise ValueError if the data or labels file changed since the run."""
+        recorded = (self.data_sha256, self.labels_sha256)
+        for (path, digest), want in zip(_input_digests(self.spec), recorded):
+            if digest != want:
+                raise ValueError(
+                    f"{path or 'no labels file'}: fingerprint {str(digest)[:12]} "
+                    f"does not match manifest {str(want)[:12]}"
+                )
 
     def save(self, path) -> None:
         base = os.path.dirname(os.path.abspath(path))

@@ -8,12 +8,12 @@ form the decoder producing the reconstruction.  Layer m computes
 batch form of a layer is ``Z_m = g_m(Z_{m-1} W_m^T + b_m)``.
 
 Gradients of the joint loss (reconstruction + weighted intra-class distance
-of the codes + L2 regularizer) are computed by two backward recursions: a
-reconstruction signal flowing from the output layer through every layer, and
-a cluster-constraint signal that is injected at the code layer and flows
-only through the encoder.  The constraint signal is structurally zero for
-decoder layers, represented as ``None``.  Cluster assignments and centers
-are treated as constants here; they are updated elsewhere in closed form.
+of the codes + L2 regularizer) are computed by one backward pass from layer
+M down to layer 1, started by the reconstruction signal at the output.  The
+loss is linear in its two error signals, so the cluster constraint's signal
+joins the running one at the code layer.  Activation derivatives are taken
+from layer outputs, so a forward trace keeps only those.  Cluster
+assignments and centers are constants here, updated elsewhere in closed form.
 """
 
 from __future__ import annotations
@@ -52,18 +52,22 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre-activations and activations for one batch.
+    """Per-layer outputs for one batch.
 
-    activations[0] is the input batch, activations[m] the output of layer m;
-    pre_activations[m-1] is the affine input to layer m.
+    activations[0] is the input batch, activations[m] the output of layer m.
     """
 
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
 
     @property
+    def pre_activations(self) -> list[np.ndarray]:
+        """Always empty.  Exists only for the benchmark tracer, which reads it;
+        goes when the next benchmark change drops that read."""
+        return []
+
+    @property
     def code(self) -> np.ndarray:
-        return self.activations[len(self.pre_activations) // 2]
+        return self.activations[(len(self.activations) - 1) // 2]
 
     @property
     def reconstruction(self) -> np.ndarray:
@@ -129,29 +133,16 @@ def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
             f"forward: batch of shape {batch.shape} does not match input "
             f"width {params.dims[0]}"
         )
-    pre, acts = [], [batch]
-    z = batch
+    acts = [batch]
     for m, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
-        y = z @ w.T + b
-        z = apply(params.layer_activation(m), y)
-        pre.append(y)
-        acts.append(z)
-    return ForwardTrace(pre, acts)
+        acts.append(apply(params.layer_activation(m), acts[-1] @ w.T + b))
+    return ForwardTrace(acts)
 
 
-def reconstruction_deltas(params: NetworkParams, trace: ForwardTrace) -> list[np.ndarray]:
-    """Backward signal of the reconstruction error, one N x dims[m] array per layer."""
-    m_total = params.num_layers
-    z, y = trace.activations, trace.pre_activations
-    deltas: list[np.ndarray] = [None] * m_total  # type: ignore[list-item]
-    deltas[m_total - 1] = -(z[0] - z[m_total]) * derivative(
-        params.layer_activation(m_total), y[m_total - 1]
-    )
-    for m in range(m_total - 1, 0, -1):
-        deltas[m - 1] = (deltas[m] @ params.weights[m]) * derivative(
-            params.layer_activation(m), y[m - 1]
-        )
-    return deltas
+def reconstruction_deltas(params: NetworkParams, trace: ForwardTrace) -> np.ndarray:
+    """Backward signal of the reconstruction error at the output layer, N x dims[M]."""
+    x, out = trace.activations[0], trace.reconstruction
+    return -(x - out) * derivative(params.layer_activation(params.num_layers), out)
 
 
 def constraint_deltas(
@@ -159,17 +150,13 @@ def constraint_deltas(
     trace: ForwardTrace,
     assignments: np.ndarray,
     centers: np.ndarray,
-) -> list:
-    """Backward signal of the intra-class distance term.
+) -> np.ndarray:
+    """Backward signal of the intra-class distance term at the code layer.
 
-    Injected at the code layer as (code - assigned center) scaled by the
-    activation derivative, then propagated through the encoder only.
-    Decoder entries are structurally zero and returned as None.
+    (code - assigned center) scaled by the activation derivative, N x code
+    width; backward weights it by lambda1.
     """
-    m_total = params.num_layers
-    half = m_total // 2
-    z, y = trace.activations, trace.pre_activations
-    n = z[0].shape[0]
+    n = trace.activations[0].shape[0]
     if assignments.shape[0] != n or assignments.shape[1] != centers.shape[1]:
         raise ShapeMismatchError(
             f"constraint_deltas: assignments {assignments.shape} do not match "
@@ -180,15 +167,8 @@ def constraint_deltas(
             f"constraint_deltas: centers {centers.shape} do not match code "
             f"width {params.code_dim}"
         )
-    lams: list = [None] * m_total
-    lams[half - 1] = (z[half] - assignments @ centers.T) * derivative(
-        params.enc_activation, y[half - 1]
-    )
-    for m in range(half - 1, 0, -1):
-        lams[m - 1] = (lams[m] @ params.weights[m]) * derivative(
-            params.enc_activation, y[m - 1]
-        )
-    return lams
+    code = trace.code
+    return (code - assignments @ centers.T) * derivative(params.enc_activation, code)
 
 
 def backward(
@@ -205,23 +185,28 @@ def backward(
     lambda1/2 times the squared distance of each code to its assigned
     center, plus lambda2/2 times the squared norms of all weights and
     biases.  The regularizer contributes once per call, not per sample.
-    With lambda1 == 0 the constraint path is skipped entirely and
-    assignments/centers may be None.
+    With lambda1 == 0 the constraint term is skipped entirely and
+    assignments/centers may be None.  Each layer's gradients are formed as
+    soon as its delta is known; only the current delta is kept.
     """
-    deltas = reconstruction_deltas(params, trace)
-    lams = None
+    m_total = params.num_layers
+    constraint = None
     if lambda1 != 0.0:
         if assignments is None or centers is None:
             raise ValueError("backward: lambda1 != 0 requires assignments and centers")
-        lams = constraint_deltas(params, trace, assignments, centers)
+        constraint = constraint_deltas(params, trace, assignments, centers)
+    z = trace.activations
     d_weights, d_biases = [], []
-    for m in range(1, params.num_layers + 1):
-        err = deltas[m - 1]
-        if lams is not None and lams[m - 1] is not None:
-            err = err + lambda1 * lams[m - 1]
-        d_weights.append(err.T @ trace.activations[m - 1] + lambda2 * params.weights[m - 1])
-        d_biases.append(err.sum(axis=0) + lambda2 * params.biases[m - 1])
-    return Gradients(d_weights, d_biases)
+    delta = reconstruction_deltas(params, trace)
+    for m in range(m_total, 0, -1):
+        if m == m_total // 2 and constraint is not None:
+            delta += lambda1 * constraint
+        d_weights.append(delta.T @ z[m - 1] + lambda2 * params.weights[m - 1])
+        d_biases.append(delta.sum(axis=0) + lambda2 * params.biases[m - 1])
+        if m > 1:
+            delta = delta @ params.weights[m - 1]
+            delta *= derivative(params.layer_activation(m - 1), z[m - 1])
+    return Gradients(d_weights[::-1], d_biases[::-1])
 
 
 def apply_update(params: NetworkParams, grads: Gradients, lr: float) -> None:

@@ -12,7 +12,10 @@ OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, set before the process starts.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +23,10 @@ import numpy as np
 from . import artifacts as art
 from . import autoencoder as net
 from . import clusters, data, gradcheck, metrics
-from .activations import parse_kind
-from .linalg import ShapeMismatchError
+from .activations import ActivationKind, parse_kind
 from .training import DivergenceError, TrainConfig, lambda1_sweep, train
+
+KINDS = tuple(kind.value for kind in ActivationKind)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -55,10 +59,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--dims", required=True,
                    help="encoder widths incl. input, e.g. 10,6,2; decoder mirrors")
-    p.add_argument("--activation", default="tanh",
-                   choices=("tanh", "sigmoid", "nssigmoid", "softplus"))
-    p.add_argument("--dec-activation", default=None,
-                   choices=("tanh", "sigmoid", "nssigmoid", "softplus"))
+    p.add_argument("--activation", default="tanh", choices=KINDS)
+    p.add_argument("--dec-activation", default=None, choices=KINDS)
     p.add_argument("--lambda2", type=float, default=0.0003)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=300)
@@ -97,14 +99,7 @@ def _spec_from_args(args) -> art.RunSpec:
 
 
 def _load_dataset(spec: art.RunSpec) -> data.Dataset:
-    ds = data.load(spec.data, spec.format)
-    if spec.labels is not None:
-        labels = data.load_label_csv(spec.labels)
-        if labels.size != ds.n:
-            raise data.DataFormatError(
-                f"{spec.labels}: {labels.size} labels for {ds.n} rows"
-            )
-        ds = data.Dataset(ds.features, labels=labels, mask=ds.mask, meta=ds.meta)
+    ds = data.load(spec.data, spec.format, spec.labels)
     if spec.mask_unlabeled:
         ds = data.mask_unlabeled(ds)
     if spec.normalize != "none":
@@ -125,6 +120,15 @@ def _prepare(spec: art.RunSpec):
 
 
 def _run_training(spec: art.RunSpec, out_dir: Path) -> None:
+    """Train a spec into out_dir, which must be absent or empty.
+
+    The artifacts go to a sibling directory, renamed to out_dir once all are
+    written, so a failed run leaves no out_dir.  A sibling shares out_dir's
+    parent, so the manifest's relative paths hold after the rename.
+    """
+    out_dir = Path(os.path.abspath(out_dir))
+    if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):
+        raise ValueError(f"--out-dir {out_dir} exists and is not an empty directory")
     ds, dims, enc, dec = _prepare(spec)
     if spec.map_shape is not None:
         h, w = spec.map_shape
@@ -133,9 +137,23 @@ def _run_training(spec: art.RunSpec, out_dir: Path) -> None:
             raise ValueError(
                 f"--map-shape {h}x{w} holds {h * w} pixels, the image has {full_size}"
             )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "epoch_log.csv"
-    with open(log_path, "w", encoding="ascii") as log:
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = out_dir.with_name(f".{out_dir.name}.{uuid.uuid4().hex[:12]}.partial")
+    staging.mkdir()
+    try:
+        final = _write_run(spec, ds, dims, enc, dec, staging)
+        os.replace(staging, out_dir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    line = f"epochs={final.epoch} j_total={final.j_total:.6g}"
+    if final.accuracy is not None:
+        line += f" accuracy={final.accuracy:.4f} nmi={final.nmi:.4f}"
+    print(line)
+
+
+def _write_run(spec: art.RunSpec, ds: data.Dataset, dims, enc, dec, out_dir: Path):
+    """Train and write every artifact of the run into out_dir; the last report."""
+    with open(out_dir / "epoch_log.csv", "w", encoding="ascii") as log:
         log.write(art.EPOCH_LOG_HEADER + "\n")
 
         def stream(report, params, state):
@@ -164,13 +182,8 @@ def _run_training(spec: art.RunSpec, out_dir: Path) -> None:
             art.write_pgm(out_dir / "label_map.pgm", grid, w, h)
             paths["label_map_pgm"] = "label_map.pgm"
     art.save_checkpoint(out_dir / "checkpoint.bin", params, reports[-1].epoch)
-    manifest = art.RunManifest.build(spec, paths)
-    manifest.save(out_dir / "manifest.json")
-    final = reports[-1]
-    line = f"epochs={final.epoch} j_total={final.j_total:.6g}"
-    if final.accuracy is not None:
-        line += f" accuracy={final.accuracy:.4f} nmi={final.nmi:.4f}"
-    print(line)
+    art.RunManifest.build(spec, paths).save(out_dir / "manifest.json")
+    return reports[-1]
 
 
 def cmd_train(args) -> int:
@@ -180,14 +193,8 @@ def cmd_train(args) -> int:
 
 def cmd_replay(args) -> int:
     manifest = art.RunManifest.load(args.manifest)
-    spec = manifest.spec
-    digest = art.sha256_file(spec.data)
-    if digest != manifest.data_sha256:
-        raise ValueError(
-            f"{spec.data}: fingerprint {digest[:12]}... does not match "
-            f"manifest {manifest.data_sha256[:12]}..."
-        )
-    _run_training(spec, Path(args.out_dir))
+    manifest.check_inputs()
+    _run_training(manifest.spec, Path(args.out_dir))
     return 0
 
 
@@ -269,10 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
     p.add_argument("--dims", default="5,3,2")
-    p.add_argument("--activation", default="tanh",
-                   choices=("tanh", "sigmoid", "nssigmoid", "softplus"))
-    p.add_argument("--dec-activation", default=None,
-                   choices=("tanh", "sigmoid", "nssigmoid", "softplus"))
+    p.add_argument("--activation", default="tanh", choices=KINDS)
+    p.add_argument("--dec-activation", default=None, choices=KINDS)
     p.add_argument("--lambda1", type=float, default=0.3)
     p.add_argument("--lambda2", type=float, default=0.0003)
     p.add_argument("--seed", type=int, default=0)
@@ -312,10 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, data.DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ShapeMismatchError) as exc:
+    except (OSError, ValueError) as exc:  # DataFormatError and ShapeMismatchError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, clusters.DegenerateCentersError) as exc:

@@ -10,7 +10,7 @@ Two on-disk feature formats are supported:
 * CSV: comma-separated decimal floats, one sample per line, no header.
 
 A companion label file (same stem, ``.labels.csv``, one integer per line)
-is picked up automatically when present.
+is picked up automatically when present and no other labels file is given.
 """
 
 from __future__ import annotations
@@ -145,8 +145,17 @@ def companion_label_path(path) -> Path:
     return Path(path).with_suffix("").with_suffix(".labels.csv")
 
 
-def load(path, fmt: str | None = None) -> Dataset:
-    """Load a feature file (csv or dcmx) plus its companion labels if present."""
+def labels_path(path, labels_file=None) -> Path | None:
+    """The labels file read with feature file path: labels_file when given,
+    else the companion file when it exists."""
+    if labels_file is not None:
+        return Path(labels_file)
+    companion = companion_label_path(path)
+    return companion if companion.exists() else None
+
+
+def load(path, fmt: str | None = None, labels_file=None) -> Dataset:
+    """Load a feature file (csv or dcmx) and the labels file labels_path picks."""
     path = Path(path)
     if fmt is None:
         fmt = "dcmx" if path.suffix == ".dcmx" else "csv"
@@ -158,9 +167,8 @@ def load(path, fmt: str | None = None) -> Dataset:
         raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'dcmx'")
     if not np.all(np.isfinite(features)):
         raise DataFormatError(f"{path}: non-finite feature values")
-    labels = None
-    label_path = companion_label_path(path)
-    if label_path.exists():
+    labels, label_path = None, labels_path(path, labels_file)
+    if label_path is not None:
         labels = load_label_csv(label_path)
         if labels.size != features.shape[0]:
             raise DataFormatError(
@@ -170,7 +178,7 @@ def load(path, fmt: str | None = None) -> Dataset:
 
 
 def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
-    """Per-column rescaling; the transform is recorded for denormalize.
+    """Per-column rescaling.
 
     minmax maps each column to [0, 1]; zscore to zero mean and unit
     variance.  Constant columns map to all zeros under either mode.
@@ -189,24 +197,8 @@ def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
     safe = np.where(span == 0.0, 1.0, span)
     scaled = (x - offset) / safe
     scaled[:, span == 0.0] = 0.0
-    meta = dict(dataset.meta)
-    meta["normalization"] = {
-        "mode": mode,
-        "offset": offset.tolist(),
-        "scale": span.tolist(),
-    }
-    return Dataset(scaled, labels=dataset.labels, mask=dataset.mask, meta=meta)
-
-
-def denormalize(dataset: Dataset) -> Dataset:
-    record = dataset.meta.get("normalization")
-    if record is None:
-        raise ValueError("dataset carries no normalization record")
-    offset = np.asarray(record["offset"])
-    span = np.asarray(record["scale"])
-    restored = dataset.features * span + offset
-    meta = {k: v for k, v in dataset.meta.items() if k != "normalization"}
-    return Dataset(restored, labels=dataset.labels, mask=dataset.mask, meta=meta)
+    return Dataset(scaled, labels=dataset.labels, mask=dataset.mask,
+                   meta=dict(dataset.meta))
 
 
 def mask_unlabeled(dataset: Dataset) -> Dataset:

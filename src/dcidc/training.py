@@ -164,12 +164,15 @@ def train(
                 raise DivergenceError(epoch, float("inf"))
             raise
         state = clusters.ClusterState(centers, indicator, config.k)
+        # drop this epoch's trace before any other forward pass runs
         if config.batch_size is None or config.batch_size >= n:
             grads = net.backward(
                 params, trace, indicator, centers, config.lambda1, config.lambda2
             )
+            del trace
             net.apply_update(params, grads, config.lr)
         else:
+            del trace
             order = shuffle_rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dcidc.activations import ActivationKind
-from dcidc.autoencoder import backward, constraint_deltas, forward, init, mirror_dims
+from dcidc.autoencoder import backward, forward, init, mirror_dims
 from dcidc.cli import main as cli_main
 from dcidc.clusters import init_indicator, update_centers, update_indicator
 from dcidc.data import normalize, synth_blobs
@@ -130,9 +130,18 @@ def test_structural_invariants():
     params = init([6, 4, 2, 4, 6], ActivationKind.TANH, ActivationKind.TANH, 1)
     rng = np.random.default_rng(1)
     trace = forward(params, rng.uniform(0, 1, size=(8, 6)))
-    lams = constraint_deltas(params, trace, init_indicator(8, 3, 1),
-                             rng.normal(size=(2, 3)))
-    decoder_zero = all(lams[m] is None for m in range(2, 4))
+    assignments, centers = init_indicator(8, 3, 1), rng.normal(size=(2, 3))
+    constrained = backward(params, trace, assignments, centers, 0.3, 0.0)
+    plain = backward(params, trace, assignments, centers, 0.0, 0.0)
+    # the constraint reaches the encoder only: decoder gradients are untouched
+    decoder_zero = all(
+        np.array_equal(constrained.d_weights[m], plain.d_weights[m])
+        and np.array_equal(constrained.d_biases[m], plain.d_biases[m])
+        for m in range(2, 4)
+    ) and any(
+        not np.array_equal(constrained.d_weights[m], plain.d_weights[m])
+        for m in range(2)
+    )
 
     ds = normalize(synth_blobs(50, 3, 6, 6.0, 1.0, seed=2))
     rows_one_hot = []

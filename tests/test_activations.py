@@ -22,25 +22,30 @@ def test_values_at_zero():
     assert apply(ActivationKind.SOFTPLUS, zero)[0, 0] == pytest.approx(math.log(2), abs=1e-12)
 
 
+def derivative_at(kind, y):
+    """The derivative at pre-activation y, from the output form."""
+    return derivative(kind, apply(kind, y))
+
+
 def test_derivatives_at_zero():
     zero = np.zeros((1, 1))
-    assert derivative(ActivationKind.TANH, zero)[0, 0] == 1.0
-    assert derivative(ActivationKind.SIGMOID, zero)[0, 0] == 0.25
-    assert derivative(ActivationKind.NSSIGMOID, zero)[0, 0] == 1.0
-    assert derivative(ActivationKind.SOFTPLUS, zero)[0, 0] == 0.5
+    assert derivative_at(ActivationKind.TANH, zero)[0, 0] == 1.0
+    assert derivative_at(ActivationKind.SIGMOID, zero)[0, 0] == 0.25
+    assert derivative_at(ActivationKind.NSSIGMOID, zero)[0, 0] == 1.0
+    assert derivative_at(ActivationKind.SOFTPLUS, zero)[0, 0] == 0.5
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_derivative_matches_finite_difference_at_point(kind):
     y = np.array([[0.37]])
-    assert abs(derivative(kind, y) - central_difference(kind, y))[0, 0] <= 1e-6
+    assert abs(derivative_at(kind, y) - central_difference(kind, y))[0, 0] <= 1e-6
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_derivative_matches_finite_difference_sampled(kind):
     rng = np.random.default_rng(2024)
     y = rng.uniform(-5.0, 5.0, size=1000)
-    assert np.max(np.abs(derivative(kind, y) - central_difference(kind, y))) <= 1e-6
+    assert np.max(np.abs(derivative_at(kind, y) - central_difference(kind, y))) <= 1e-6
 
 
 # strict bounds checked away from float64 saturation (tanh rounds to 1.0
@@ -61,7 +66,7 @@ def test_softplus_stable_for_large_inputs():
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(800.0)
     assert out[1] == pytest.approx(0.0, abs=1e-300)
-    assert np.all(np.isfinite(derivative(ActivationKind.SOFTPLUS, big)))
+    assert np.all(np.isfinite(derivative_at(ActivationKind.SOFTPLUS, big)))
 
 
 def test_parse_kind_names():

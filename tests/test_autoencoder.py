@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcidc.activations import ActivationKind, derivative
+from dcidc import gradcheck
+from dcidc.activations import ActivationKind
 from dcidc.autoencoder import (
     Gradients,
     apply_update,
@@ -121,7 +124,8 @@ class TestForward:
         params = init(dims, TANH, TANH, seed=2)
         trace = forward(params, np.zeros((9, 7)))
         assert [z.shape for z in trace.activations] == [(9, d) for d in dims]
-        assert [y.shape for y in trace.pre_activations] == [(9, d) for d in dims[1:]]
+        assert trace.pre_activations == []
+        assert trace.code is trace.activations[2]
 
     def test_rejects_wrong_width(self):
         params = init([4, 2, 4], TANH, TANH, seed=0)
@@ -149,10 +153,16 @@ class TestBackward:
 
     def test_decoder_constraint_terms_structurally_zero(self):
         params, batch, assignments, centers = random_instance(4, [5, 3, 2, 3, 5], 6, 2)
-        lams = constraint_deltas(params, forward(params, batch), assignments, centers)
+        trace = forward(params, batch)
+        assert constraint_deltas(params, trace, assignments, centers).shape == (6, 2)
+        with_constraint = backward(params, trace, assignments, centers, 0.3, 3e-4)
+        plain = backward(params, trace, assignments, centers, 0.0, 3e-4)
         half = params.num_layers // 2
-        assert all(lams[m] is None for m in range(half, params.num_layers))
-        assert all(lams[m] is not None for m in range(half))
+        for m in range(half, params.num_layers):
+            assert np.array_equal(with_constraint.d_weights[m], plain.d_weights[m])
+            assert np.array_equal(with_constraint.d_biases[m], plain.d_biases[m])
+        for m in range(half):
+            assert not np.array_equal(with_constraint.d_weights[m], plain.d_weights[m])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_finite_differences(self, seed):
@@ -192,21 +202,58 @@ class TestBackward:
 
     @staticmethod
     def _plain_autoencoder_gradients(params, batch, lam2):
-        """Reconstruction + L2 backprop written independently."""
-        trace = forward(params, batch)
+        """Reconstruction + L2 backprop of a tanh net written independently.
+
+        Keeps its own pre-activations and takes tanh's derivative from them.
+        """
+        acts, pre = [batch], []
+        for w, b in zip(params.weights, params.biases):
+            pre.append(acts[-1] @ w.T + b)
+            acts.append(np.tanh(pre[-1]))
+
+        def tanh_prime(y):
+            t = np.tanh(y)
+            return 1.0 - t * t
+
         m_total = params.num_layers
         d_weights, d_biases = [None] * m_total, [None] * m_total
-        sig = -(batch - trace.reconstruction) * derivative(
-            params.layer_activation(m_total), trace.pre_activations[m_total - 1]
-        )
+        sig = -(batch - acts[-1]) * tanh_prime(pre[m_total - 1])
         for m in range(m_total, 0, -1):
             if m < m_total:
-                sig = (sig @ params.weights[m]) * derivative(
-                    params.layer_activation(m), trace.pre_activations[m - 1]
-                )
-            d_weights[m - 1] = sig.T @ trace.activations[m - 1] + lam2 * params.weights[m - 1]
+                sig = (sig @ params.weights[m]) * tanh_prime(pre[m - 1])
+            d_weights[m - 1] = sig.T @ acts[m - 1] + lam2 * params.weights[m - 1]
             d_biases[m - 1] = sig.sum(axis=0) + lam2 * params.biases[m - 1]
         return Gradients(d_weights, d_biases)
+
+
+@st.composite
+def backward_instances(draw):
+    """A random net with M in {2, 4, 6}, a batch, assignments, centers and lambdas."""
+    half = draw(st.sampled_from([1, 2, 3]))
+    widths = draw(st.lists(st.integers(1, 5), min_size=half + 1, max_size=half + 1))
+    dims = mirror_dims(sorted(widths, reverse=True))
+    enc = draw(st.sampled_from(list(ActivationKind)))
+    dec = draw(st.sampled_from(list(ActivationKind)))
+    seed = draw(st.integers(0, 2**16))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    params = init(dims, enc, dec, seed)
+    batch = rng.uniform(0.0, 1.0, size=(n, dims[0]))
+    centers = rng.normal(0.0, 0.5, size=(params.code_dim, k))
+    lam1 = draw(st.floats(0.0, 2.0))
+    lam2 = draw(st.floats(0.0, 1e-2))
+    return params, batch, init_indicator(n, k, seed), centers, lam1, lam2
+
+
+@given(backward_instances())
+@settings(max_examples=60, deadline=None)
+def test_backward_matches_finite_differences_property(instance):
+    params, batch, assignments, centers, lam1, lam2 = instance
+    analytic = backward(params, forward(params, batch), assignments, centers, lam1, lam2)
+    numeric = gradcheck.numeric_gradients(params, batch, assignments, centers, lam1, lam2)
+    worst, where = gradcheck.max_relative_error(analytic, numeric)
+    assert worst <= 1e-5, where
 
 
 class TestApplyUpdate:

@@ -96,6 +96,24 @@ class TestTrain:
         assert raw.startswith(b"P5\n4 3\n255\n")
         assert raw[-12:][0] == 255  # first pixel was masked out
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failed_run_leaves_no_out_dir(self, blob_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(train_args(blob_file, out, "--lr", "1e300", "--lambda2", "1")) == 1
+        assert "diverged" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["blobs.dcmx", "blobs.labels.csv"]
+
+    def test_nonempty_out_dir_rejected_before_training(self, blob_file, tmp_path,
+                                                       capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+        assert main(train_args(blob_file, out)) == 2
+        assert "not an empty directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "keep me"
+
     def test_map_shape_needs_mask_unlabeled(self, tmp_path, capsys):
         out = tmp_path / "run"
         args = image_args(image_file(tmp_path), out, "--map-shape", "3x4")
@@ -148,7 +166,20 @@ class TestReplayAnywhere:
             assert (tmp_path / "run" / name).read_bytes() == \
                 (elsewhere / "copy" / name).read_bytes(), name
 
-    @pytest.mark.parametrize("edit", ["extra", "missing", "config", "value"])
+    def test_changed_labels_rejected(self, tmp_path, capsys):
+        data = image_file(tmp_path)
+        assert main(image_args(data, tmp_path / "run")) == 0
+        labels = tmp_path / "img.labels.csv"
+        flipped = labels.read_text().splitlines()
+        flipped[0] = "1"  # pixel 0 leaves the background
+        labels.write_text("\n".join(flipped) + "\n")
+        copy = tmp_path / "copy"
+        assert main(["replay", str(tmp_path / "run" / "manifest.json"),
+                     "--out-dir", str(copy)]) == 2
+        assert "img.labels.csv: fingerprint" in capsys.readouterr().err
+        assert not copy.exists()
+
+    @pytest.mark.parametrize("edit", ["extra", "missing", "config", "value", "type"])
     def test_manifest_keys_checked(self, blob_file, tmp_path, capsys, edit):
         out = tmp_path / "run"
         assert main(train_args(blob_file, out)) == 0
@@ -160,13 +191,15 @@ class TestReplayAnywhere:
             del record["spec"]["normalize"]
         elif edit == "config":
             record["spec"]["config"]["momentum"] = 0.9
+        elif edit == "type":
+            record["spec"]["config"]["k"] = "3"
         else:
             record["spec"]["normalize"] = "l2"
         path.write_text(json.dumps(record))
         assert main(["replay", str(path), "--out-dir", str(tmp_path / "copy")]) == 2
         err = capsys.readouterr().err
         expected = {"extra": "note", "missing": "normalize", "config": "momentum",
-                    "value": "'l2'"}
+                    "value": "'l2'", "type": "spec.config.k: expected int, got '3'"}
         assert expected[edit] in err
 
 

@@ -5,7 +5,6 @@ from dcidc.data import (
     DataFormatError,
     Dataset,
     companion_label_path,
-    denormalize,
     load,
     load_dcmx,
     load_label_csv,
@@ -88,6 +87,18 @@ class TestCsv:
         ds = load(path)
         assert np.array_equal(ds.labels, [0, 1])
 
+    def test_labels_file_replaces_companion(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("1,2\n3,4\n")
+        companion_label_path(path).write_text("0\n1\n2\n")  # stale, wrong length
+        given = tmp_path / "given.csv"
+        given.write_text("1\n0\n")
+        assert np.array_equal(load(path, labels_file=given).labels, [1, 0])
+        with pytest.raises(DataFormatError, match="3 labels for 2 rows"):
+            load(path)
+        with pytest.raises(OSError):
+            load(path, labels_file=tmp_path / "missing.csv")
+
     def test_label_roundtrip(self, tmp_path):
         path = tmp_path / "l.labels.csv"
         save_label_csv(path, [2, 0, 1])
@@ -111,15 +122,6 @@ class TestNormalize:
         out = normalize(ds, "zscore_per_band")
         assert np.all(np.abs(out.features.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(out.features.var(axis=0) - 1.0) < 1e-9)
-
-    def test_denormalize_roundtrip(self):
-        rng = np.random.default_rng(10)
-        features = rng.uniform(-40, 90, size=(30, 5))
-        features[:, 2] = 7.0  # constant band
-        ds = Dataset(features)
-        for mode in ("minmax_per_band", "zscore_per_band"):
-            back = denormalize(normalize(ds, mode))
-            assert np.allclose(back.features, features, rtol=1e-9)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
