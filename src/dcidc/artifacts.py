@@ -189,7 +189,13 @@ class RunManifest:
         return cls(__version__, spec, data_digest, labels_digest, artifacts)
 
     def check_inputs(self) -> None:
-        """Raise ValueError if the data or labels file changed since the run."""
+        """Raise ValueError if the run used another engine version, or if the
+        data or labels file changed since the run."""
+        if self.engine_version != __version__:
+            raise ValueError(
+                f"manifest was written by engine {self.engine_version}, this is "
+                f"engine {__version__}; its numbers differ between versions"
+            )
         recorded = (self.data_sha256, self.labels_sha256)
         for (path, digest), want in zip(_input_digests(self.spec), recorded):
             if digest != want:

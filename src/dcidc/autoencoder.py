@@ -14,6 +14,12 @@ loss is linear in its two error signals, so the cluster constraint's signal
 joins the running one at the code layer.  Activation derivatives are taken
 from layer outputs, so a forward trace keeps only those.  Cluster
 assignments and centers are constants here, updated elsewhere in closed form.
+
+Parameters are float64 master weights.  A pass computes in the float type of
+its batch: training feeds float32, so the bulk arithmetic runs in float32,
+while the gradients come back float64 (the regularizer term adds the
+float64 parameters) and the update is applied in float64.  A float64 batch,
+as the gradient checks pass, runs wholly in float64.
 """
 
 from __future__ import annotations
@@ -128,14 +134,19 @@ def init(
 
 
 def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
+    """Layer outputs for batch, computed in its float type (float64 for an
+    integer batch); the weights and biases are cast to that type per call."""
     if batch.ndim != 2 or batch.shape[1] != params.dims[0]:
         raise ShapeMismatchError(
             f"forward: batch of shape {batch.shape} does not match input "
             f"width {params.dims[0]}"
         )
+    dtype = np.result_type(batch.dtype, np.float32)
     acts = [batch]
     for m, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
-        acts.append(apply(params.layer_activation(m), acts[-1] @ w.T + b))
+        y = acts[-1] @ w.astype(dtype, copy=False).T
+        y += b.astype(dtype, copy=False)
+        acts.append(apply(params.layer_activation(m), y))
     return ForwardTrace(acts)
 
 
@@ -167,8 +178,9 @@ def constraint_deltas(
             f"constraint_deltas: centers {centers.shape} do not match code "
             f"width {params.code_dim}"
         )
-    code = trace.code
-    return (code - assignments @ centers.T) * derivative(params.enc_activation, code)
+    code, dtype = trace.code, trace.code.dtype
+    assigned = assignments.astype(dtype, copy=False) @ centers.T.astype(dtype)
+    return (code - assigned) * derivative(params.enc_activation, code)
 
 
 def backward(
@@ -204,7 +216,7 @@ def backward(
         d_weights.append(delta.T @ z[m - 1] + lambda2 * params.weights[m - 1])
         d_biases.append(delta.sum(axis=0) + lambda2 * params.biases[m - 1])
         if m > 1:
-            delta = delta @ params.weights[m - 1]
+            delta = delta @ params.weights[m - 1].astype(delta.dtype, copy=False)
             delta *= derivative(params.layer_activation(m - 1), z[m - 1])
     return Gradients(d_weights[::-1], d_biases[::-1])
 

@@ -9,6 +9,10 @@ at the largest coefficient (ties go to the lowest index).  Note this
 least-squares rule coincides with nearest-center assignment only when the
 centers are orthonormal; ``assignment_disagreement`` reports how often the
 two rules differ.
+
+Codes may arrive as float32; the centers, the assignment solve and the
+intra-class error are computed in float64 all the same.  Codes are widened
+explicitly, because a float32-by-float64 matrix product skips BLAS.
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ def update_centers(
     A cluster with no members is re-seeded to the code row farthest from its
     previous center (or from the global code mean when no previous centers
     exist).  Returns the centers and the list of re-seeded cluster indices.
+    Codes are widened to float64 before any sum, so float32 codes give the
+    same centers, bit for bit, as the same codes widened by the caller.
     """
     if codes.shape[0] != indicator.shape[0]:
         raise ShapeMismatchError(
@@ -88,12 +94,15 @@ def update_centers(
         members = indicator[:, i] == 1.0
         count = int(members.sum())
         if count == 0:
-            reference = prev_centers[:, i] if prev_centers is not None else codes.mean(axis=0)
+            if prev_centers is not None:
+                reference = prev_centers[:, i]
+            else:
+                reference = codes.astype(np.float64, copy=False).mean(axis=0)
             dist_sq = ((codes - reference) ** 2).sum(axis=1)
             centers[:, i] = codes[int(np.argmax(dist_sq))]
             reseeded.append(i)
         else:
-            centers[:, i] = codes[members].sum(axis=0) / count
+            centers[:, i] = codes[members].astype(np.float64, copy=False).sum(axis=0) / count
     return centers, reseeded
 
 
@@ -110,7 +119,7 @@ def update_indicator(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
         )
     with np.errstate(over="ignore"):  # inf gram is caught by the solve below
         gram = centers.T @ centers
-        rhs = centers.T @ codes.T
+        rhs = centers.T @ codes.astype(np.float64, copy=False).T
     try:
         coeffs = solve_spd(gram, rhs)  # k x n
     except SingularMatrixError as exc:
@@ -142,7 +151,7 @@ def intra_class_error(
             f"intra_class_error: code width {codes.shape[1]} vs center "
             f"dimension {centers.shape[0]}"
         )
-    return frobenius_sq(codes - indicator @ centers.T)
+    return frobenius_sq(codes.astype(np.float64, copy=False) - indicator @ centers.T)
 
 
 def assignment_disagreement(codes: np.ndarray, centers: np.ndarray) -> int:

@@ -3,10 +3,11 @@
 Two on-disk feature formats are supported:
 
 * ``dcmx`` binary matrices: magic bytes ``DCMX``, version byte 0x01, then
-  little-endian u32 row and column counts, then rows*cols little-endian
-  IEEE-754 32-bit floats in row-major order.  Values are widened to 64-bit
-  on load; saving narrows to 32-bit, so a load/save cycle of a dcmx file is
-  byte-exact while arbitrary float64 data may lose precision on first save.
+  little-endian u32 row and column counts (both at least 1), then
+  rows*cols little-endian IEEE-754 32-bit floats in row-major order.  Values
+  are widened to 64-bit on load; saving narrows to 32-bit, so a load/save
+  cycle of a dcmx file is byte-exact while arbitrary float64 data may lose
+  precision on first save.
 * CSV: comma-separated decimal floats, one sample per line, no header.
 
 A companion label file (same stem, ``.labels.csv``, one integer per line)
@@ -68,6 +69,8 @@ def read_dcmx(raw: bytes, offset: int = 0, source: str = "<bytes>") -> tuple[np.
         raise DataFormatError(f"{source}: bad magic {magic!r} at byte {offset}")
     if version != _VERSION:
         raise DataFormatError(f"{source}: unsupported dcmx version {version}")
+    if rows == 0 or cols == 0:
+        raise DataFormatError(f"{source}: empty {rows}x{cols} dcmx matrix")
     expected = rows * cols * 4
     start = offset + _HEADER.size
     actual = len(raw) - start

@@ -2,7 +2,7 @@
 
 solve_spd is the Cholesky solve behind the assignment update; frobenius_sq
 is the squared norm in the loss terms.  Other matrix arithmetic is plain
-numpy on 2-D float64 arrays, one row per sample.  Both kernels are
+numpy on 2-D arrays, one row per sample.  Both kernels are
 deterministic: identical inputs give bit-identical outputs.
 """
 
@@ -70,6 +70,8 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def frobenius_sq(a: np.ndarray) -> float:
-    """Sum of squared entries."""
+    """Sum of squared entries, accumulated in float64 whatever a's type."""
     flat = a.ravel()
-    return float(flat @ flat)
+    if flat.dtype == np.float64:
+        return float(flat @ flat)  # a BLAS dot costs less per call than einsum
+    return float(np.einsum("i,i->", flat, flat, dtype=np.float64))

@@ -118,9 +118,13 @@ def train(
     j_total stays below config.tol for CONVERGENCE_WINDOW consecutive
     epochs.  Supplied labels are only ever used for per-epoch accuracy/NMI
     reporting, never for the optimization itself.
+
+    The autoencoder passes run in float32 on a float32 copy of data; the
+    parameters, centers, assignment solve and loss sums stay float64.
     """
     if dec_activation is None:
         dec_activation = enc_activation
+    data = np.asarray(data, dtype=np.float32)
     n = data.shape[0]
     params = net.init(dims, enc_activation, dec_activation, config.seed)
     indicator = clusters.init_indicator(n, config.k, config.seed)

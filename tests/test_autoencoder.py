@@ -256,6 +256,20 @@ def test_backward_matches_finite_differences_property(instance):
     assert worst <= 1e-5, where
 
 
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_float32_batch_computes_in_float32(kind):
+    params, batch, assignments, centers = random_instance(
+        4, mirror_dims([12, 8, 5]), 40, 3, kind
+    )
+    trace = forward(params, batch.astype(np.float32))
+    assert [a.dtype for a in trace.activations] == [np.float32] * 5
+    narrow = backward(params, trace, assignments, centers, 0.3, 3e-4)
+    wide = backward(params, forward(params, batch), assignments, centers, 0.3, 3e-4)
+    for a, b in zip(narrow.d_weights + narrow.d_biases, wide.d_weights + wide.d_biases):
+        assert a.dtype == np.float64
+        assert gradcheck.relative_error(a, b).max() <= 1e-4
+
+
 class TestApplyUpdate:
     def test_zero_gradients_fixed_point(self):
         params = init([4, 2, 4], TANH, TANH, seed=1)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dcidc import autoencoder
+from dcidc import __version__, autoencoder, cli
 from dcidc.cli import main
 from dcidc.data import load_label_csv, save_label_csv
 
@@ -147,6 +147,26 @@ class TestReplay:
                      "--out-dir", str(tmp_path / "replayed")])
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
+
+    def test_other_engine_version_exits_2_before_training(
+        self, blob_file, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "run"
+        assert main(train_args(blob_file, out)) == 0
+        path = out / "manifest.json"
+        record = json.loads(path.read_text())
+        record["engine_version"] = "0.0.9"
+        path.write_text(json.dumps(record))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("replay trained a manifest of another engine")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        copy = tmp_path / "copy"
+        assert main(["replay", str(path), "--out-dir", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert "0.0.9" in err and __version__ in err
+        assert not copy.exists()
 
 
 class TestReplayAnywhere:

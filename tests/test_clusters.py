@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dcidc.clusters import (
     DegenerateCentersError,
@@ -211,3 +212,80 @@ class TestProperties:
     def test_labels_from_indicator(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert np.array_equal(labels_from_indicator(h), [1, 0])
+
+
+@st.composite
+def labeled_codes(draw):
+    """float32 codes (n x width) and a one-hot indicator over k clusters,
+    some of which may be empty."""
+    n = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    codes = draw(hnp.arrays(np.float32, (n, width),
+                            elements=st.floats(-1e3, 1e3, width=32)))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    indicator = np.zeros((n, k))
+    indicator[np.arange(n), labels] = 1.0
+    return codes, indicator
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_float32_centers_equal_widened_centers(seed):
+    rng = np.random.default_rng(seed)
+    n, width, k = (int(rng.integers(1, hi)) for hi in (20000, 40, 20))
+    scale = 10 ** rng.uniform(-3, 3)
+    codes = (rng.standard_normal((n, width)) * scale).astype(np.float32)
+    indicator = np.zeros((n, k))
+    indicator[np.arange(n), rng.integers(0, k, size=n)] = 1.0
+    narrow, narrow_reseeded = update_centers(codes, indicator)
+    wide, wide_reseeded = update_centers(codes.astype(np.float64), indicator)
+    assert narrow.dtype == np.float64
+    assert np.array_equal(narrow, wide) and narrow_reseeded == wide_reseeded
+
+
+@given(labeled_codes())
+@settings(max_examples=100, deadline=None)
+def test_centers_inside_member_bounding_box(instance):
+    codes, indicator = instance
+    centers, reseeded = update_centers(codes, indicator)
+    for i in range(indicator.shape[1]):
+        if i in reseeded:
+            continue
+        members = codes[indicator[:, i] == 1.0]
+        assert np.all(members.min(axis=0) <= centers[:, i])
+        assert np.all(centers[:, i] <= members.max(axis=0))
+
+
+@given(
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4)),
+               elements=st.floats(-1e6, 1e6)),
+    st.integers(1, 5),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_update_indicator_rows_one_hot(codes, k, seed):
+    centers = np.random.default_rng(seed).normal(size=(codes.shape[1], k))
+    try:
+        indicator = update_indicator(codes, centers)
+    except DegenerateCentersError:
+        return
+    validate_indicator(indicator)
+    assert indicator.shape == (codes.shape[0], k)
+
+
+@given(st.integers(1, 5), st.integers(0, 3), st.integers(1, 30), st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_orthonormal_centers_no_disagreement(k, extra, n, seed):
+    """Codes whose largest coefficient on the centers leads by a margin: the
+    least-squares rule and nearest-center then pick the same cluster."""
+    rng = np.random.default_rng(seed)
+    width = k + extra
+    centers, _ = np.linalg.qr(rng.normal(size=(width, k)))
+    coeffs = rng.normal(size=(n, k))
+    top2 = np.sort(coeffs, axis=1)[:, -2:] if k > 1 else None
+    assume(top2 is None or np.all(top2[:, 1] - top2[:, 0] > 1e-6))
+    off_span = rng.normal(size=(n, width))
+    off_span -= off_span @ centers @ centers.T
+    codes = coeffs @ centers.T + off_span
+    assert assignment_disagreement(codes, centers) == 0

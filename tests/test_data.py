@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dcidc.data import (
     DataFormatError,
     Dataset,
     companion_label_path,
+    dcmx_bytes,
     load,
     load_dcmx,
     load_label_csv,
@@ -52,6 +56,57 @@ class TestDcmx:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(DataFormatError, match="trailing"):
             load_dcmx(path)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_matrix_rejected_naming_file(self, tmp_path, shape):
+        path = tmp_path / "empty.dcmx"
+        save_dcmx(path, np.zeros(shape))
+        with pytest.raises(DataFormatError, match=f"empty.dcmx: empty {shape[0]}x{shape[1]}"):
+            load_dcmx(path)
+
+
+float32_matrices = hnp.arrays(
+    np.float32,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.floats(width=32, allow_nan=False),
+)
+
+
+@given(float32_matrices)
+@settings(max_examples=60, deadline=None)
+def test_dcmx_roundtrip_exact_property(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("dcmx") / "m.dcmx"
+    save_dcmx(path, matrix)
+    loaded = load_dcmx(path)
+    assert loaded.shape == matrix.shape
+    assert np.array_equal(loaded, matrix)
+    assert dcmx_bytes(loaded) == path.read_bytes()  # signed zeros too
+
+
+@given(float32_matrices, st.data())
+@settings(max_examples=60, deadline=None)
+def test_dcmx_proper_prefix_rejected_property(tmp_path_factory, matrix, data):
+    raw = dcmx_bytes(matrix)
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path = tmp_path_factory.mktemp("dcmx") / "cut.dcmx"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(DataFormatError):
+        load_dcmx(path)
+
+
+@given(st.one_of(st.binary(max_size=64),
+                 st.binary(max_size=48).map(lambda tail: b"DCMX\x01" + tail)))
+@settings(max_examples=100, deadline=None)
+def test_dcmx_random_bytes_rejected_property(tmp_path_factory, raw):
+    """Random bytes raise DataFormatError unless they happen to be a valid
+    file: magic, version, and a payload of exactly rows * cols floats."""
+    path = tmp_path_factory.mktemp("dcmx") / "noise.dcmx"
+    path.write_bytes(raw)
+    try:
+        rows, cols = load_dcmx(path).shape
+    except DataFormatError:
+        return
+    assert raw[:5] == b"DCMX\x01" and len(raw) == 13 + 4 * rows * cols
 
 
 class TestCsv:

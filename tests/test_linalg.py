@@ -52,6 +52,12 @@ def test_frobenius_examples():
     assert frobenius_sq(np.array([[3.0, 4.0]])) == 25.0
 
 
+def test_frobenius_accumulates_float32_in_float64():
+    # float32 accumulation drops every 0.0625 once the sum reaches 2**24
+    a = np.array([4096.0] + [0.25] * 100000, dtype=np.float32)
+    assert frobenius_sq(a) == 4096.0**2 + 100000 / 16
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_solve_spd_roundtrip(seed):

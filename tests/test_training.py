@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dcidc import autoencoder
 from dcidc.activations import ActivationKind
 from dcidc.autoencoder import forward, init, mirror_dims
 from dcidc.clusters import ClusterState, init_indicator, validate_indicator
@@ -149,6 +150,24 @@ class TestTrain:
         _, _, a = train(ds.features, cfg, dims)
         _, _, b = train(ds.features, cfg, dims)
         assert a == b
+
+    @pytest.mark.parametrize("batch_size", [None, 32])
+    def test_autoencoder_sees_float32_batches(self, monkeypatch, batch_size):
+        seen = []
+
+        def spy(params, batch):
+            seen.append(batch.dtype)
+            return forward(params, batch)
+
+        monkeypatch.setattr(autoencoder, "forward", spy)
+        ds = small_blobs(5)
+        assert ds.features.dtype == np.float64
+        cfg = TrainConfig(k=3, max_epochs=3, seed=5, batch_size=batch_size)
+        params, state, _ = train(ds.features, cfg, mirror_dims([5, 4, 3]))
+        assert len(seen) == (4 if batch_size is None else 4 + 3 * 4)
+        assert set(seen) == {np.dtype(np.float32)}
+        assert {a.dtype for a in params.weights + params.biases} == {np.dtype(np.float64)}
+        assert state.centers.dtype == np.float64
 
     def test_loss_drops_in_first_epochs_across_seeds(self):
         wins = 0
