@@ -164,14 +164,15 @@ def constraint_deltas(
 ) -> np.ndarray:
     """Backward signal of the intra-class distance term at the code layer.
 
-    (code - assigned center) scaled by the activation derivative, N x code
-    width; backward weights it by lambda1.
+    assignments holds each sample's cluster label.  (code - assigned center)
+    scaled by the activation derivative, N x code width; backward weights it
+    by lambda1.
     """
     n = trace.activations[0].shape[0]
-    if assignments.shape[0] != n or assignments.shape[1] != centers.shape[1]:
+    if assignments.shape != (n,):
         raise ShapeMismatchError(
             f"constraint_deltas: assignments {assignments.shape} do not match "
-            f"batch size {n} and centers {centers.shape}"
+            f"batch size {n}"
         )
     if centers.shape[0] != params.code_dim:
         raise ShapeMismatchError(
@@ -179,7 +180,7 @@ def constraint_deltas(
             f"width {params.code_dim}"
         )
     code, dtype = trace.code, trace.code.dtype
-    assigned = assignments.astype(dtype, copy=False) @ centers.T.astype(dtype)
+    assigned = centers.T.astype(dtype)[assignments]
     return (code - assigned) * derivative(params.enc_activation, code)
 
 
@@ -197,9 +198,10 @@ def backward(
     lambda1/2 times the squared distance of each code to its assigned
     center, plus lambda2/2 times the squared norms of all weights and
     biases.  The regularizer contributes once per call, not per sample.
-    With lambda1 == 0 the constraint term is skipped entirely and
-    assignments/centers may be None.  Each layer's gradients are formed as
-    soon as its delta is known; only the current delta is kept.
+    assignments holds one cluster label per batch row.  With lambda1 == 0
+    the constraint term is skipped entirely and assignments/centers may be
+    None.  Each layer's gradients are formed as soon as its delta is known;
+    only the current delta is kept.
     """
     m_total = params.num_layers
     constraint = None

@@ -163,7 +163,7 @@ def _write_run(spec: art.RunSpec, ds: data.Dataset, dims, enc, dec, out_dir: Pat
         params, state, reports = train(
             ds.features, spec.config, dims, enc, dec, labels=ds.labels, on_epoch=stream
         )
-    labels_out = state.labels()
+    labels_out = state.indicator
     data.save_label_csv(out_dir / "labels.csv", labels_out)
     data.save_dcmx(out_dir / "labels.dcmx", labels_out.reshape(-1, 1).astype(np.float64))
     paths = {

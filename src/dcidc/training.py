@@ -2,9 +2,10 @@
 
 Each epoch, in order: forward all samples, recompute the centers from the
 current assignments (per-cluster code means), evaluate the loss terms,
-recompute the assignments from the centers (least-squares + binarize), then
-take one gradient-descent step on every weight and bias.  Assignments and
-centers are constants inside the gradient step.
+recompute the assignments from the centers (least-squares + binarize, which
+yields one cluster label per sample), then take one gradient-descent step
+on every weight and bias.  Assignments and centers are constants inside the
+gradient step.
 
 The loss decomposes as j_total = j1 + j2 + j3 with
 
@@ -127,65 +128,70 @@ def train(
     data = np.asarray(data, dtype=np.float32)
     n = data.shape[0]
     params = net.init(dims, enc_activation, dec_activation, config.seed)
-    indicator = clusters.init_indicator(n, config.k, config.seed)
+    assigned = clusters.init_indicator(n, config.k, config.seed)
     shuffle_rng = substream(config.seed, "shuffle")
     centers = None
     reports: list[EpochReport] = []
     prev_total = None
     flat_epochs = 0
-    for epoch in range(config.max_epochs + 1):
-        trace = net.forward(params, data)
-        centers, reseeded = clusters.update_centers(trace.code, indicator, centers)
-        state = clusters.ClusterState(centers, indicator, config.k)
-        j_total, j1, j2, j3 = loss_terms(
-            params, trace, state, config.lambda1, config.lambda2
-        )
-        if not math.isfinite(j_total):
-            raise DivergenceError(epoch, j_total)
-        report = EpochReport(epoch, j_total, j1, j2, j3,
-                             empty_cluster_events=len(reseeded))
-        if labels is not None:
-            predicted = state.labels()
-            report.accuracy = metrics.accuracy(predicted, labels)
-            report.nmi = metrics.nmi(predicted, labels)
-        reports.append(report)
-        if on_epoch is not None:
-            on_epoch(report, params, state)
-        if epoch == config.max_epochs:
-            break
-        if prev_total is not None:
-            rel = abs(j_total - prev_total) / max(abs(prev_total), 1e-300)
-            flat_epochs = flat_epochs + 1 if rel < config.tol else 0
-            if flat_epochs >= CONVERGENCE_WINDOW:
-                break
-        prev_total = j_total
-        try:
-            indicator = clusters.update_indicator(trace.code, centers)
-        except clusters.DegenerateCentersError:
-            # an exploding run can overflow the indicator solve before
-            # j_total itself goes non-finite; report that as divergence
-            if not np.all(np.isfinite(centers)):
-                raise DivergenceError(epoch, float("inf"))
-            raise
-        state = clusters.ClusterState(centers, indicator, config.k)
-        # drop this epoch's trace before any other forward pass runs
-        if config.batch_size is None or config.batch_size >= n:
-            grads = net.backward(
-                params, trace, indicator, centers, config.lambda1, config.lambda2
+    # Overflow and NaN are let through silently: every update is followed
+    # by a forward pass and the j_total check below, or by the indicator
+    # solve, so a non-finite value still ends the run as a divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs + 1):
+            trace = net.forward(params, data)
+            centers, reseeded = clusters.update_centers(
+                trace.code, assigned, config.k, centers
             )
-            del trace
-            net.apply_update(params, grads, config.lr)
-        else:
-            del trace
-            order = shuffle_rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                sub = net.forward(params, data[idx])
+            state = clusters.ClusterState(centers, assigned, config.k)
+            j_total, j1, j2, j3 = loss_terms(
+                params, trace, state, config.lambda1, config.lambda2
+            )
+            if not math.isfinite(j_total):
+                raise DivergenceError(epoch, j_total)
+            report = EpochReport(epoch, j_total, j1, j2, j3,
+                                 empty_cluster_events=len(reseeded))
+            if labels is not None:
+                report.accuracy = metrics.accuracy(assigned, labels)
+                report.nmi = metrics.nmi(assigned, labels)
+            reports.append(report)
+            if on_epoch is not None:
+                on_epoch(report, params, state)
+            if epoch == config.max_epochs:
+                break
+            if prev_total is not None:
+                rel = abs(j_total - prev_total) / max(abs(prev_total), 1e-300)
+                flat_epochs = flat_epochs + 1 if rel < config.tol else 0
+                if flat_epochs >= CONVERGENCE_WINDOW:
+                    break
+            prev_total = j_total
+            try:
+                assigned = clusters.update_indicator(trace.code, centers)
+            except clusters.DegenerateCentersError:
+                # an exploding run can overflow the indicator solve before
+                # j_total itself goes non-finite; report that as divergence
+                if not np.all(np.isfinite(centers)):
+                    raise DivergenceError(epoch, float("inf"))
+                raise
+            state = clusters.ClusterState(centers, assigned, config.k)
+            # drop this epoch's trace before any other forward pass runs
+            if config.batch_size is None or config.batch_size >= n:
                 grads = net.backward(
-                    params, sub, indicator[idx], centers,
-                    config.lambda1, config.lambda2,
+                    params, trace, assigned, centers, config.lambda1, config.lambda2
                 )
+                del trace
                 net.apply_update(params, grads, config.lr)
+            else:
+                del trace
+                order = shuffle_rng.permutation(n)
+                for start in range(0, n, config.batch_size):
+                    idx = order[start : start + config.batch_size]
+                    sub = net.forward(params, data[idx])
+                    grads = net.backward(
+                        params, sub, assigned[idx], centers,
+                        config.lambda1, config.lambda2,
+                    )
+                    net.apply_update(params, grads, config.lr)
     return params, state, reports
 
 
@@ -216,12 +222,11 @@ def lambda1_sweep(
             _, state, _ = train(
                 data, cell, dims, enc_activation, dec_activation, labels=labels
             )
-            predicted = state.labels()
             rows.append(
                 SweepRow(
                     float(value),
-                    metrics.accuracy(predicted, labels),
-                    metrics.nmi(predicted, labels),
+                    metrics.accuracy(state.indicator, labels),
+                    metrics.nmi(state.indicator, labels),
                 )
             )
         except (DivergenceError, clusters.DegenerateCentersError) as exc:

@@ -32,9 +32,8 @@ def joint_loss(params, batch, assignments, centers, lam1, lam2):
     trace = forward(params, batch)
     value = 0.5 * float(((batch - trace.reconstruction) ** 2).sum())
     if lam1 != 0.0:
-        value += 0.5 * lam1 * float(
-            ((trace.code - assignments @ centers.T) ** 2).sum()
-        )
+        one_hot = np.eye(centers.shape[1])[assignments]
+        value += 0.5 * lam1 * float(((trace.code - one_hot @ centers.T) ** 2).sum())
     value += 0.5 * lam2 * (
         sum(float((w * w).sum()) for w in params.weights)
         + sum(float((b * b).sum()) for b in params.biases)
@@ -99,21 +98,19 @@ def test_cluster_subproblem_oracles():
         if n < k:
             n = k
         codes = rng.normal(size=(n, d))
-        indicator = init_indicator(n, k, int(rng.integers(0, 1_000_000)))
-        got, reseeded = update_centers(codes, indicator)
+        labels = init_indicator(n, k, int(rng.integers(0, 1_000_000)))
+        got, reseeded = update_centers(codes, labels, k)
         assert reseeded == []
         expected = np.zeros((d, k))
         for i in range(k):
-            rows = [codes[r] for r in range(n) if indicator[r, i] == 1.0]
+            rows = [codes[r] for r in range(n) if labels[r] == i]
             expected[:, i] = np.array(rows).sum(axis=0) / len(rows)
         centers_exact += np.array_equal(got, expected)
 
         centers = rng.normal(size=(d, k))
         got_h = update_indicator(codes, centers)
         pinv = np.linalg.pinv(centers)
-        expected_h = np.zeros((n, k))
-        for r in range(n):
-            expected_h[r, int(np.argmax(pinv @ codes[r]))] = 1.0
+        expected_h = [int(np.argmax(pinv @ codes[r])) for r in range(n)]
         indicator_exact += np.array_equal(got_h, expected_h)
     elapsed = time.monotonic() - start
     report(
@@ -144,13 +141,14 @@ def test_structural_invariants():
     )
 
     ds = normalize(synth_blobs(50, 3, 6, 6.0, 1.0, seed=2))
-    rows_one_hot = []
+    labelled = []
     decomposition = []
 
     def watch(rep, params_, state):
         h = state.indicator
-        rows_one_hot.append(
-            bool(np.all((h == 0) | (h == 1)) and np.all(h.sum(axis=1) == 1))
+        labelled.append(
+            h.shape == (ds.n,) and np.issubdtype(h.dtype, np.integer)
+            and bool(np.all((h >= 0) & (h < 3)))
         )
         decomposition.append(
             abs(rep.j_total - (rep.j1 + rep.j2 + rep.j3))
@@ -166,9 +164,9 @@ def test_structural_invariants():
     j2_zero = all(r.j2 == 0.0 for r in zero_run)
     report(
         "structural-invariants",
-        decoder_zero and all(rows_one_hot) and all(decomposition) and j2_zero,
-        f"decoder-zero={decoder_zero}, one-hot epochs={sum(rows_one_hot)}/"
-        f"{len(rows_one_hot)}, j2-zero={j2_zero}",
+        decoder_zero and all(labelled) and all(decomposition) and j2_zero,
+        f"decoder-zero={decoder_zero}, labelled epochs={sum(labelled)}/"
+        f"{len(labelled)}, j2-zero={j2_zero}",
     )
 
 

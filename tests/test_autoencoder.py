@@ -27,7 +27,8 @@ def reference_loss(params, batch, assignments, centers, lam1, lam2):
     j1 = 0.5 * float(((batch - trace.reconstruction) ** 2).sum())
     j2 = 0.0
     if lam1 != 0.0:
-        j2 = 0.5 * lam1 * float(((trace.code - assignments @ centers.T) ** 2).sum())
+        one_hot = np.eye(centers.shape[1])[assignments]
+        j2 = 0.5 * lam1 * float(((trace.code - one_hot @ centers.T) ** 2).sum())
     j3 = 0.5 * lam2 * (
         sum(float((w * w).sum()) for w in params.weights)
         + sum(float((b * b).sum()) for b in params.biases)
@@ -189,6 +190,13 @@ class TestBackward:
         wrong = np.zeros((3, 2))  # code width is 2, not 3
         with pytest.raises(ShapeMismatchError):
             backward(params, forward(params, batch), assignments, wrong, 0.3, 0.0)
+
+    def test_rejects_mismatched_assignments(self):
+        params, batch, assignments, centers = random_instance(2, [5, 3, 2, 3, 5], 6, 2)
+        trace = forward(params, batch)
+        for wrong in (assignments[:5], np.eye(2)[assignments]):
+            with pytest.raises(ShapeMismatchError):
+                backward(params, trace, wrong, centers, 0.3, 0.0)
 
     def test_lambda1_zero_equals_plain_autoencoder(self):
         params, batch, _, _ = random_instance(7, [6, 4, 2, 4, 6], 8, 3)

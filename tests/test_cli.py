@@ -96,7 +96,7 @@ class TestTrain:
         assert raw.startswith(b"P5\n4 3\n255\n")
         assert raw[-12:][0] == 255  # first pixel was masked out
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_run_leaves_no_out_dir(self, blob_file, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(train_args(blob_file, out, "--lr", "1e300", "--lambda2", "1")) == 1
@@ -287,7 +287,7 @@ class TestSweep:
         assert lines[1].startswith("0,")
         assert lines[2].startswith("0.3,")
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_cell_diverging_exits_1(self, blob_file, capsys):
         assert main([
             "sweep", "--data", str(blob_file), "--k", "3", "--dims", "6,4,3",

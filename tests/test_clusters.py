@@ -4,25 +4,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dcidc.activations import ActivationKind, derivative
+from dcidc.autoencoder import ForwardTrace, constraint_deltas, init
 from dcidc.clusters import (
     DegenerateCentersError,
     assignment_disagreement,
     binarize,
     init_indicator,
     intra_class_error,
-    labels_from_indicator,
     update_centers,
     update_indicator,
-    validate_indicator,
 )
+from dcidc.linalg import frobenius_sq
 
 
-def brute_force_means(codes, indicator):
+def assert_labels(labels, n, k):
+    """n integer labels, each a cluster index in [0, k)."""
+    assert labels.shape == (n,)
+    assert np.issubdtype(labels.dtype, np.integer)
+    assert np.all((0 <= labels) & (labels < k))
+
+
+def brute_force_means(codes, labels, k):
     """Per-cluster mean oracle: explicit row collection, same reduction."""
-    k = indicator.shape[1]
     centers = np.zeros((codes.shape[1], k))
     for i in range(k):
-        rows = [codes[r] for r in range(codes.shape[0]) if indicator[r, i] == 1.0]
+        rows = [codes[r] for r in range(codes.shape[0]) if labels[r] == i]
         centers[:, i] = np.array(rows).sum(axis=0) / len(rows)
     return centers
 
@@ -30,24 +37,18 @@ def brute_force_means(codes, indicator):
 def pseudoinverse_assignment(codes, centers):
     """Independent per-sample least-squares + argmax oracle."""
     pinv = np.linalg.pinv(centers)
-    out = np.zeros((codes.shape[0], centers.shape[1]))
-    for r in range(codes.shape[0]):
-        coeff = pinv @ codes[r]
-        out[r, int(np.argmax(coeff))] = 1.0
-    return out
+    return np.array([int(np.argmax(pinv @ code)) for code in codes])
 
 
 class TestInitIndicator:
     def test_equal_counts_gives_permutation(self):
         h = init_indicator(3, 3, seed=0)
-        assert np.array_equal(h.sum(axis=0), [1.0, 1.0, 1.0])
-        assert np.array_equal(h.sum(axis=1), [1.0, 1.0, 1.0])
+        assert np.array_equal(np.sort(h), [0, 1, 2])
 
     def test_every_cluster_covered(self):
         h = init_indicator(5, 2, seed=1)
-        assert h.shape == (5, 2)
-        validate_indicator(h)
-        assert np.all(h.sum(axis=0) >= 1.0)
+        assert_labels(h, 5, 2)
+        assert np.all(np.bincount(h, minlength=2) >= 1)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -58,15 +59,14 @@ class TestInitIndicator:
     def test_rows_one_hot(self, k, extra, seed):
         n = k + extra
         h = init_indicator(n, k, seed)
-        validate_indicator(h)
-        assert h.sum() == n
+        assert_labels(h, n, k)
+        assert np.array_equal(np.sort(h[:k]), np.arange(k))
 
 
 class TestUpdateCenters:
     def test_mean_formula(self):
         codes = np.array([[0.0, 0.0], [2.0, 2.0], [10.0, 10.0]])
-        indicator = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        centers, reseeded = update_centers(codes, indicator)
+        centers, reseeded = update_centers(codes, np.array([0, 0, 1]), 2)
         assert reseeded == []
         assert np.array_equal(centers[:, 0], [1.0, 1.0])
         assert np.array_equal(centers[:, 1], [10.0, 10.0])
@@ -74,8 +74,7 @@ class TestUpdateCenters:
     def test_single_cluster_gives_global_mean(self):
         rng = np.random.default_rng(0)
         codes = rng.normal(size=(12, 3))
-        indicator = np.ones((12, 1))
-        centers, _ = update_centers(codes, indicator)
+        centers, _ = update_centers(codes, np.zeros(12, dtype=np.int64), 1)
         assert np.allclose(centers[:, 0], codes.mean(axis=0), atol=1e-15)
 
     def test_matches_brute_force_exactly(self):
@@ -83,34 +82,40 @@ class TestUpdateCenters:
         codes = rng.normal(size=(20, 3))
         labels = rng.integers(0, 3, size=20)
         labels[:3] = [0, 1, 2]
-        indicator = np.zeros((20, 3))
-        indicator[np.arange(20), labels] = 1.0
-        centers, _ = update_centers(codes, indicator)
-        assert np.array_equal(centers, brute_force_means(codes, indicator))
+        centers, _ = update_centers(codes, labels, 3)
+        assert np.array_equal(centers, brute_force_means(codes, labels, 3))
 
     def test_empty_cluster_reseeded_to_farthest(self):
         codes = np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 9.0]])
-        indicator = np.zeros((3, 2))
-        indicator[:, 0] = 1.0  # cluster 1 empty
+        labels = np.array([0, 0, 0])  # cluster 1 empty
         prev = np.array([[0.0, 0.0], [0.0, 0.0]]).T
-        centers, reseeded = update_centers(codes, indicator, prev)
+        centers, reseeded = update_centers(codes, labels, 2, prev)
         assert reseeded == [1]
         assert np.array_equal(centers[:, 1], [9.0, 9.0])
 
+    def test_empty_last_cluster_without_previous_centers(self):
+        # the labels cannot show that cluster k-1 exists; k says so, and with
+        # no previous centers it is re-seeded against the global code mean
+        codes = np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 9.0]])
+        centers, reseeded = update_centers(codes, np.array([0, 1, 1]), 3)
+        assert centers.shape == (2, 3)
+        assert reseeded == [2]
+        assert np.array_equal(centers[:, 2], [9.0, 9.0])  # farthest from the mean
+
     def test_shape_mismatch(self):
         with pytest.raises(Exception):
-            update_centers(np.zeros((3, 2)), np.zeros((4, 2)))
+            update_centers(np.zeros((3, 2)), np.zeros(4, dtype=np.int64), 2)
 
 
 class TestUpdateIndicator:
     def test_orthonormal_centers_pick_largest_coordinate(self):
         h = update_indicator(np.array([[0.9, 0.2]]), np.eye(2))
-        assert np.array_equal(h, [[1.0, 0.0]])
+        assert np.array_equal(h, [0])
 
     def test_exact_center_match(self):
         centers = np.array([[2.0, 0.0], [0.0, 3.0]])  # orthogonal columns
         h = update_indicator(np.array([[0.0, 3.0]]), centers)
-        assert np.array_equal(h, [[0.0, 1.0]])
+        assert np.array_equal(h, [1])
 
     def test_matches_pseudoinverse_oracle(self):
         rng = np.random.default_rng(21)
@@ -126,34 +131,31 @@ class TestUpdateIndicator:
             update_indicator(np.ones((3, 2)), centers)
 
     def test_tie_broken_by_lowest_index(self):
-        assert np.array_equal(binarize(np.array([[0.5, 0.5, 0.1]])),
-                              [[1.0, 0.0, 0.0]])
+        assert np.array_equal(binarize(np.array([[0.5, 0.5, 0.1],
+                                                 [0.1, 0.7, 0.7]])), [0, 1])
 
 
 class TestIntraClassError:
     def test_zero_at_centers(self):
         centers = np.array([[1.0, -1.0], [2.0, 0.0]])
-        indicator = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        codes = indicator @ centers.T
-        assert intra_class_error(codes, indicator, centers) == 0.0
+        labels = np.array([0, 1, 0])
+        codes = np.eye(2)[labels] @ centers.T
+        assert intra_class_error(codes, labels, centers) == 0.0
 
     def test_pair_example(self):
         codes = np.array([[0.0, 0.0], [2.0, 2.0]])
-        indicator = np.ones((2, 1))
         centers = np.array([[1.0], [1.0]])
-        assert intra_class_error(codes, indicator, centers) == 4.0
+        assert intra_class_error(codes, np.array([0, 0]), centers) == 4.0
 
     def test_frobenius_equals_summation_form(self):
         rng = np.random.default_rng(17)
         codes = rng.normal(size=(25, 4))
         labels = rng.integers(0, 3, size=25)
-        indicator = np.zeros((25, 3))
-        indicator[np.arange(25), labels] = 1.0
         centers = rng.normal(size=(4, 3))
         direct = sum(
             float(((codes[r] - centers[:, labels[r]]) ** 2).sum()) for r in range(25)
         )
-        assert intra_class_error(codes, indicator, centers) == pytest.approx(
+        assert intra_class_error(codes, labels, centers) == pytest.approx(
             direct, abs=1e-10
         )
 
@@ -164,27 +166,18 @@ class TestProperties:
         codes = rng.normal(size=(30, 3))
         labels = rng.integers(0, 4, size=30)
         labels[:4] = np.arange(4)
-        indicator = np.zeros((30, 4))
-        indicator[np.arange(30), labels] = 1.0
-        centers, _ = update_centers(codes, indicator)
-        best = intra_class_error(codes, indicator, centers)
+        centers, _ = update_centers(codes, labels, 4)
+        best = intra_class_error(codes, labels, centers)
         for trial in range(5):
             bumped = centers.copy()
             bumped[:, trial % 4] += rng.normal(size=3) * 0.1
-            assert intra_class_error(codes, indicator, bumped) > best
+            assert intra_class_error(codes, labels, bumped) > best
 
     def test_column_sums_are_cluster_sizes(self):
         h = init_indicator(40, 5, seed=9)
-        assert h.sum() == 40
-        assert np.all(h.sum(axis=0) >= 1)
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_binarize_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        rows = rng.normal(size=(6, 4))
-        once = binarize(rows)
-        assert np.array_equal(binarize(once), once)
+        sizes = np.bincount(h, minlength=5)
+        assert sizes.sum() == 40 and sizes.size == 5
+        assert np.all(sizes >= 1)
 
     def test_alternation_monotone_for_orthonormal_centers(self):
         # with orthonormal centers the least-squares argmax equals
@@ -199,7 +192,7 @@ class TestProperties:
         start_h = init_indicator(45, 3, seed=23)
         before = intra_class_error(codes, start_h, start_centers)
         new_h = update_indicator(codes, start_centers)
-        new_centers, reseeded = update_centers(codes, new_h)
+        new_centers, reseeded = update_centers(codes, new_h, 3)
         assert reseeded == []
         after = intra_class_error(codes, new_h, new_centers)
         assert after <= before
@@ -209,24 +202,18 @@ class TestProperties:
         codes = rng.normal(size=(50, 3)) * 0.4
         assert assignment_disagreement(codes, np.eye(3)) == 0
 
-    def test_labels_from_indicator(self):
-        h = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(labels_from_indicator(h), [1, 0])
-
 
 @st.composite
 def labeled_codes(draw):
-    """float32 codes (n x width) and a one-hot indicator over k clusters,
-    some of which may be empty."""
+    """float32 codes (n x width) and n labels over k clusters, some of which
+    may be empty."""
     n = draw(st.integers(1, 40))
     width = draw(st.integers(1, 4))
     k = draw(st.integers(1, 5))
     codes = draw(hnp.arrays(np.float32, (n, width),
                             elements=st.floats(-1e3, 1e3, width=32)))
     labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
-    indicator = np.zeros((n, k))
-    indicator[np.arange(n), labels] = 1.0
-    return codes, indicator
+    return codes, labels, k
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -236,10 +223,9 @@ def test_float32_centers_equal_widened_centers(seed):
     n, width, k = (int(rng.integers(1, hi)) for hi in (20000, 40, 20))
     scale = 10 ** rng.uniform(-3, 3)
     codes = (rng.standard_normal((n, width)) * scale).astype(np.float32)
-    indicator = np.zeros((n, k))
-    indicator[np.arange(n), rng.integers(0, k, size=n)] = 1.0
-    narrow, narrow_reseeded = update_centers(codes, indicator)
-    wide, wide_reseeded = update_centers(codes.astype(np.float64), indicator)
+    labels = rng.integers(0, k, size=n)
+    narrow, narrow_reseeded = update_centers(codes, labels, k)
+    wide, wide_reseeded = update_centers(codes.astype(np.float64), labels, k)
     assert narrow.dtype == np.float64
     assert np.array_equal(narrow, wide) and narrow_reseeded == wide_reseeded
 
@@ -247,12 +233,12 @@ def test_float32_centers_equal_widened_centers(seed):
 @given(labeled_codes())
 @settings(max_examples=100, deadline=None)
 def test_centers_inside_member_bounding_box(instance):
-    codes, indicator = instance
-    centers, reseeded = update_centers(codes, indicator)
-    for i in range(indicator.shape[1]):
+    codes, labels, k = instance
+    centers, reseeded = update_centers(codes, labels, k)
+    for i in range(k):
         if i in reseeded:
             continue
-        members = codes[indicator[:, i] == 1.0]
+        members = codes[labels == i]
         assert np.all(members.min(axis=0) <= centers[:, i])
         assert np.all(centers[:, i] <= members.max(axis=0))
 
@@ -267,11 +253,10 @@ def test_centers_inside_member_bounding_box(instance):
 def test_update_indicator_rows_one_hot(codes, k, seed):
     centers = np.random.default_rng(seed).normal(size=(codes.shape[1], k))
     try:
-        indicator = update_indicator(codes, centers)
+        labels = update_indicator(codes, centers)
     except DegenerateCentersError:
         return
-    validate_indicator(indicator)
-    assert indicator.shape == (codes.shape[0], k)
+    assert_labels(labels, codes.shape[0], k)
 
 
 @given(st.integers(1, 5), st.integers(0, 3), st.integers(1, 30), st.integers(0, 2**31 - 1))
@@ -289,3 +274,33 @@ def test_orthonormal_centers_no_disagreement(k, extra, n, seed):
     off_span -= off_span @ centers @ centers.T
     codes = coeffs @ centers.T + off_span
     assert assignment_disagreement(codes, centers) == 0
+
+
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(1, 30),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_label_gather_equals_one_hot_product(dtype, n, width, k, draw):
+    """H S^T gathered from labels equals the one-hot product, in both the
+    intra-class error and the code-layer constraint signal.  Labels use only
+    the first `used` clusters, so the later ones are empty."""
+    used = draw.draw(st.integers(1, k))
+    labels = draw.draw(hnp.arrays(np.int64, n, elements=st.integers(0, used - 1)))
+    finite = st.floats(-1e3, 1e3, width=32)
+    codes = draw.draw(hnp.arrays(dtype, (n, width), elements=finite))
+    centers = draw.draw(hnp.arrays(np.float64, (width, k), elements=finite))
+    one_hot = np.eye(k)[labels]
+
+    expected = frobenius_sq(codes.astype(np.float64) - one_hot @ centers.T)
+    assert intra_class_error(codes, labels, centers) == expected
+
+    params = init([width, width, width], ActivationKind.TANH, ActivationKind.TANH, 0)
+    trace = ForwardTrace([codes, codes, codes])
+    assigned = one_hot.astype(dtype) @ centers.T.astype(dtype)
+    expected = (codes - assigned) * derivative(ActivationKind.TANH, codes)
+    got = constraint_deltas(params, trace, labels, centers)
+    assert got.dtype == dtype and np.array_equal(got, expected)

@@ -6,7 +6,7 @@ import pytest
 from dcidc import autoencoder
 from dcidc.activations import ActivationKind
 from dcidc.autoencoder import forward, init, mirror_dims
-from dcidc.clusters import ClusterState, init_indicator, validate_indicator
+from dcidc.clusters import ClusterState, init_indicator
 from dcidc.data import normalize, synth_blobs
 from dcidc.training import (
     DivergenceError,
@@ -19,7 +19,7 @@ from dcidc.training import (
 TANH = ActivationKind.TANH
 
 
-def scalar_loss_terms(params, trace, indicator, centers, lam1, lam2):
+def scalar_loss_terms(params, trace, labels, centers, lam1, lam2):
     """Entry-by-entry loop oracle for the three loss terms."""
     x, r, code = trace.activations[0], trace.reconstruction, trace.code
     j1 = 0.0
@@ -28,7 +28,7 @@ def scalar_loss_terms(params, trace, indicator, centers, lam1, lam2):
             j1 += 0.5 * (x[i, d] - r[i, d]) ** 2
     j2 = 0.0
     for i in range(code.shape[0]):
-        cluster = int(np.argmax(indicator[i]))
+        cluster = int(labels[i])
         for d in range(code.shape[1]):
             j2 += 0.5 * lam1 * (code[i, d] - centers[d, cluster]) ** 2
     j3 = 0.0
@@ -52,11 +52,11 @@ class TestLossTerms:
         params = init([6, 4, 2, 4, 6], TANH, TANH, seed=12)
         batch = rng.uniform(0, 1, size=(7, 6))
         trace = forward(params, batch)
-        indicator = init_indicator(7, 3, seed=12)
+        labels = init_indicator(7, 3, seed=12)
         centers = rng.normal(size=(2, 3))
-        state = ClusterState(centers, indicator, 3)
+        state = ClusterState(centers, labels, 3)
         total, j1, j2, j3 = loss_terms(params, trace, state, 0.3, 3e-4)
-        o1, o2, o3 = scalar_loss_terms(params, trace, indicator, centers, 0.3, 3e-4)
+        o1, o2, o3 = scalar_loss_terms(params, trace, labels, centers, 0.3, 3e-4)
         assert j1 == pytest.approx(o1, abs=1e-10)
         assert j2 == pytest.approx(o2, abs=1e-10)
         assert j3 == pytest.approx(o3, abs=1e-10)
@@ -118,7 +118,9 @@ class TestTrain:
         seen = []
 
         def check(report, params, state):
-            validate_indicator(state.indicator)
+            h = state.indicator
+            assert h.shape == (ds.n,) and np.issubdtype(h.dtype, np.integer)
+            assert np.all((0 <= h) & (h < 3))
             assert report.j_total == report.j1 + report.j2 + report.j3
             seen.append(report.epoch)
 
@@ -134,10 +136,11 @@ class TestTrain:
         assert all(r.j2 == 0.0 for r in reports)
         assert all(r.j3 == 0.0 for r in reports)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_reports_epoch(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("batch_size", [None, 16])
+    def test_divergence_reports_epoch(self, batch_size):
         ds = small_blobs(4)
-        cfg = TrainConfig(k=3, lr=1e6, max_epochs=50, seed=4)
+        cfg = TrainConfig(k=3, lr=1e6, max_epochs=50, seed=4, batch_size=batch_size)
         with pytest.raises(DivergenceError) as info:
             train(ds.features, cfg, mirror_dims([5, 4, 3]),
                   enc_activation=ActivationKind.SOFTPLUS)
