@@ -31,4 +31,4 @@ from .training import (
     train,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

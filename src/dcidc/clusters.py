@@ -11,9 +11,12 @@ of the code against the center columns and taking the largest coefficient
 nearest-center assignment only when the centers are orthonormal;
 ``assignment_disagreement`` reports how often the two rules differ.
 
-Codes may arrive as float32; the centers, the assignment solve and the
-intra-class error are computed in float64 all the same.  Codes are widened
-explicitly, because a float32-by-float64 matrix product skips BLAS.
+The centers, the assignment and the intra-class error are float64.  The
+assignment factors only the k x k matrix S^T S, solves once for the
+projection P = (S^T S)^-1 S^T and labels all codes by one n x k product
+Z P^T.  ``train`` widens its float32 codes to float64 once per epoch for
+both updates; float32 input is widened here too, since a float32-by-float64
+matrix product skips BLAS.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .seeding import substream
 
 
 class DegenerateCentersError(ValueError):
-    """Center matrix too collapsed for the indicator solve."""
+    """Centers too collapsed, or codes not finite, for the indicator solve."""
 
 
 @dataclass
@@ -90,9 +93,9 @@ def update_centers(
 def update_indicator(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Labels from the least-squares fit of each code against the centers.
 
-    Solves the shared normal equations (with ridge fallback for
-    rank-deficient center sets, e.g. code_dim < k) for all samples at once,
-    then labels each sample with its largest coefficient (``binarize``).
+    Solves the normal equations once for the projection (with ridge fallback
+    for rank-deficient center sets, e.g. code_dim < k), applies it to every
+    code and labels each with its largest coefficient (``binarize``).
     """
     if codes.shape[1] != centers.shape[0]:
         raise ShapeMismatchError(
@@ -100,15 +103,21 @@ def update_indicator(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
         )
     with np.errstate(over="ignore"):  # inf gram is caught by the solve below
         gram = centers.T @ centers
-        rhs = centers.T @ codes.astype(np.float64, copy=False).T
     try:
-        coeffs = solve_spd(gram, rhs)  # k x n
+        projection = solve_spd(gram, centers.T)  # k x code_dim
     except SingularMatrixError as exc:
         raise DegenerateCentersError(
             f"indicator solve failed: centers of shape {centers.shape} are "
             f"numerically collapsed ({exc})"
         ) from exc
-    return binarize(coeffs.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = codes.astype(np.float64, copy=False) @ projection.T  # n x k
+    if not np.isfinite(coeffs).all():
+        raise DegenerateCentersError(
+            f"indicator solve failed: non-finite coefficients for codes of "
+            f"shape {codes.shape}"
+        )
+    return binarize(coeffs)
 
 
 def binarize(rows: np.ndarray) -> np.ndarray:
@@ -129,12 +138,16 @@ def intra_class_error(
             f"intra_class_error: code width {codes.shape[1]} vs center "
             f"dimension {centers.shape[0]}"
         )
-    return frobenius_sq(codes.astype(np.float64, copy=False) - centers.T[labels])
+    diff = np.ascontiguousarray(centers.T, dtype=np.float64)[labels]
+    np.subtract(codes, diff, out=diff)  # float32 codes widen per element
+    return frobenius_sq(diff)
 
 
 def assignment_disagreement(codes: np.ndarray, centers: np.ndarray) -> int:
     """Count samples where the least-squares rule and nearest-center disagree."""
     by_ls = update_indicator(codes, centers)
-    dist_sq = ((codes[:, :, None] - centers[None, :, :]) ** 2).sum(axis=1)
+    # ||z - s||^2 less the ||z||^2 that all centers share: n x k, not n x d x k
+    wide = codes.astype(np.float64, copy=False)
+    dist_sq = (centers * centers).sum(axis=0) - 2.0 * (wide @ centers)
     by_nearest = np.argmin(dist_sq, axis=1)
     return int(np.sum(by_ls != by_nearest))

@@ -26,9 +26,8 @@ def contingency_table(predicted, truth) -> np.ndarray:
     t = _as_labels(truth)
     if p.size != t.size:
         raise ValueError(f"label lengths differ: {p.size} vs {t.size}")
-    table = np.zeros((p.max() + 1, t.max() + 1), dtype=np.int64)
-    np.add.at(table, (p, t), 1)
-    return table
+    rows, cols = int(p.max()) + 1, int(t.max()) + 1
+    return np.bincount(p * cols + t, minlength=rows * cols).reshape(rows, cols)
 
 
 def accuracy(predicted, truth) -> float:

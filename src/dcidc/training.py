@@ -140,8 +140,9 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs + 1):
             trace = net.forward(params, data)
+            codes = trace.code.astype(np.float64)  # widened once per epoch
             centers, reseeded = clusters.update_centers(
-                trace.code, assigned, config.k, centers
+                codes, assigned, config.k, centers
             )
             state = clusters.ClusterState(centers, assigned, config.k)
             j_total, j1, j2, j3 = loss_terms(
@@ -166,13 +167,14 @@ def train(
                     break
             prev_total = j_total
             try:
-                assigned = clusters.update_indicator(trace.code, centers)
+                assigned = clusters.update_indicator(codes, centers)
             except clusters.DegenerateCentersError:
                 # an exploding run can overflow the indicator solve before
                 # j_total itself goes non-finite; report that as divergence
                 if not np.all(np.isfinite(centers)):
                     raise DivergenceError(epoch, float("inf"))
                 raise
+            del codes  # not live at the backward pass's memory peak
             state = clusters.ClusterState(centers, assigned, config.k)
             # drop this epoch's trace before any other forward pass runs
             if config.batch_size is None or config.batch_size >= n:

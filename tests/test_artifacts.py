@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dcidc import __version__
 from dcidc.activations import ActivationKind
 from dcidc.artifacts import (
     EPOCH_LOG_HEADER,
@@ -85,3 +88,10 @@ def test_manifest_roundtrip(tmp_path):
     loaded = RunManifest.load(path)
     assert loaded == manifest
     assert loaded.data_sha256 == sha256_file(data_file)
+
+
+def test_engine_version_matches_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None and match.group(1) == __version__

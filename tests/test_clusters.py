@@ -130,6 +130,11 @@ class TestUpdateIndicator:
         with pytest.raises(DegenerateCentersError):
             update_indicator(np.ones((3, 2)), centers)
 
+    def test_non_finite_code_row_raises(self):
+        codes = np.array([[1.0, 0.0], [np.nan, 0.5], [0.0, 1.0]])
+        with pytest.raises(DegenerateCentersError):
+            update_indicator(codes, np.array([[1.0, 0.2], [0.1, 1.0]]))
+
     def test_tie_broken_by_lowest_index(self):
         assert np.array_equal(binarize(np.array([[0.5, 0.5, 0.1],
                                                  [0.1, 0.7, 0.7]])), [0, 1])
@@ -304,3 +309,60 @@ def test_label_gather_equals_one_hot_product(dtype, n, width, k, draw):
     expected = (codes - assigned) * derivative(ActivationKind.TANH, codes)
     got = constraint_deltas(params, trace, labels, centers)
     assert got.dtype == dtype and np.array_equal(got, expected)
+
+
+@given(st.integers(1, 5), st.integers(0, 3), st.integers(1, 40), st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_update_indicator_matches_lstsq_argmax(k, extra, n, seed):
+    """On well-conditioned centers, the projection labels each code with the
+    largest least-squares coefficient, wherever the top two differ by a
+    margin."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(k + extra, k)) * 10 ** rng.uniform(-2, 2)
+    assume(np.linalg.cond(centers) < 1e3)
+    codes = rng.normal(size=(n, k + extra)) * 10 ** rng.uniform(-2, 2)
+    coeffs = np.linalg.lstsq(centers, codes.T, rcond=None)[0].T
+    top2 = np.sort(coeffs, axis=1)[:, -2:]
+    assume(k == 1 or np.all(top2[:, 1] - top2[:, 0] > 1e-6 * np.abs(top2).max()))
+    assert np.array_equal(update_indicator(codes, centers), np.argmax(coeffs, axis=1))
+
+
+@given(labeled_codes(), st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_float32_codes_equal_widened_codes(instance, seed):
+    """float32 codes and the same codes widened by the caller give the same
+    labels and the same intra-class error, bit for bit."""
+    codes, labels, k = instance
+    wide = codes.astype(np.float64)
+    centers = np.random.default_rng(seed).normal(size=(codes.shape[1], k)) * 100
+    assert intra_class_error(codes, labels, centers) == intra_class_error(
+        wide, labels, centers
+    )
+    try:
+        expected = update_indicator(wide, centers)
+    except DegenerateCentersError:
+        with pytest.raises(DegenerateCentersError):
+            update_indicator(codes, centers)
+        return
+    assert np.array_equal(update_indicator(codes, centers), expected)
+
+
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 30), st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_disagreement_matches_broadcast_nearest(k, width, n, seed):
+    """Nearest-center from the expanded squared distance equals the
+    brute-force n x d x k broadcast, wherever the nearest and second-nearest
+    distances differ by a margin."""
+    rng = np.random.default_rng(seed)
+    scale = 10 ** rng.uniform(-2, 2)
+    codes = rng.normal(size=(n, width)) * scale
+    centers = rng.normal(size=(width, k)) * scale
+    dist_sq = ((codes[:, :, None] - centers[None, :, :]) ** 2).sum(axis=1)
+    top2 = np.sort(dist_sq, axis=1)[:, :2]
+    assume(k == 1 or np.all(top2[:, 1] - top2[:, 0] > 1e-6 * dist_sq.max()))
+    try:
+        by_ls = update_indicator(codes, centers)
+    except DegenerateCentersError:
+        assume(False)
+    expected = int(np.sum(by_ls != np.argmin(dist_sq, axis=1)))
+    assert assignment_disagreement(codes, centers) == expected

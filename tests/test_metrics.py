@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcidc.metrics import accuracy, contingency_table, nmi
@@ -52,6 +52,24 @@ labelings = st.integers(4, 12).flatmap(
         st.lists(st.integers(0, 3), min_size=n, max_size=n),
     )
 )
+
+
+@given(st.integers(1, 30).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 6), min_size=n, max_size=n),
+        st.lists(st.integers(0, 6), min_size=n, max_size=n),
+    )
+))
+@example(([0, 3, 3], [2, 0, 2]))  # labels 1 and 2 predicted by none, 1 true of none
+@settings(max_examples=100, deadline=None)
+def test_contingency_matches_add_at(pair):
+    """Short label lists over 0..6 leave some labels absent from one side or
+    both; their rows and columns stay in the table as zeros."""
+    predicted, truth = (np.array(labels) for labels in pair)
+    expected = np.zeros((predicted.max() + 1, truth.max() + 1), dtype=np.int64)
+    np.add.at(expected, (predicted, truth), 1)
+    table = contingency_table(predicted, truth)
+    assert table.dtype == np.int64 and np.array_equal(table, expected)
 
 
 class TestAccuracy:
