@@ -2,35 +2,29 @@
 """Full-scale pixel-clustering harness for hyperspectral-style datasets.
 
 Expects a converted feature file (dcmx or csv, one row per pixel) plus a
-label file where class 0 marks unlabeled background.  Runs the joint
-training over several seeds with the standard wide-network shapes and
-reports mean and standard deviation of accuracy and NMI.  Results depend
-heavily on the learning rate and epoch budget; treat them as a comparison
-harness, not a fixed target.
+label file where class 0 marks unlabeled background.  Runs `dcidc train`
+once per seed, with the standard wide-network shapes, into the replayable
+run directory <out-dir>/seed<N>, and reports mean and standard deviation of
+the final accuracy and NMI.  Results depend heavily on the learning rate and
+epoch budget; treat them as a comparison harness, not a fixed target.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from dcidc.autoencoder import mirror_dims
-from dcidc.data import load, mask_unlabeled, normalize
-from dcidc.training import TrainConfig, train
-
-# encoder shapes used for the common band counts
-KNOWN_SHAPES = {
-    200: [200, 128, 64, 32],
-    100: [100, 72, 36, 25],
-}
-
+from dcidc import cli
+from dcidc.data import load
 
 def default_dims(d: int, k: int) -> list[int]:
-    if d in KNOWN_SHAPES:
-        return KNOWN_SHAPES[d]
-    return [d, max(d // 2, k), max(d // 4, k), max(d // 8, k)]
+    """Encoder widths incl. the input: the standard wide shapes by band count."""
+    known = {200: [200, 128, 64, 32], 100: [100, 72, 36, 25]}
+    return known.get(d, [d, max(d // 2, k), max(d // 4, k), max(d // 8, k)])
 
 
-def main() -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--data", required=True)
     ap.add_argument("--labels", default=None,
@@ -42,39 +36,44 @@ def main() -> None:
     ap.add_argument("--lambda2", type=float, default=0.0003)
     ap.add_argument("--lr", type=float, default=1e-3)
     ap.add_argument("--epochs", type=int, default=300)
-    ap.add_argument("--batch", type=int, default=None)
+    ap.add_argument("--batch", default="full", help="mini-batch size or 'full'")
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--keep-background", action="store_true",
                     help="cluster all pixels instead of dropping class 0")
-    args = ap.parse_args()
+    ap.add_argument("--out-dir", default="dcidc-hsi", help="parent of the seed<N> runs")
+    args = ap.parse_args(argv)
 
+    out_dir = Path(args.out_dir)
+    if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):
+        ap.error(f"--out-dir {out_dir} exists and is not an empty directory")
     ds = load(args.data, labels_file=args.labels)
     if ds.labels is None:
-        raise SystemExit("ground-truth labels are required for this harness")
-    if not args.keep_background:
-        ds = mask_unlabeled(ds)
-    ds = normalize(ds)
-    encoder = ([int(t) for t in args.dims.split(",")] if args.dims
-               else default_dims(ds.dim, args.k))
-    dims = mirror_dims(encoder)
-    print(f"{ds.n} pixels, {ds.dim} bands, k={args.k}, dims={dims}")
+        ap.error("ground-truth labels are required for this harness")
+    dims = args.dims or ",".join(map(str, default_dims(ds.dim, args.k)))
+    print(f"{ds.n} pixels ({np.count_nonzero(ds.labels)} labeled), {ds.dim} bands, "
+          f"k={args.k}, encoder dims={dims}")
+    del ds  # each seed's run loads the data itself
+    flags = ["--data", args.data, "--k", str(args.k), "--dims", dims,
+             "--lambda1", repr(args.lambda1), "--lambda2", repr(args.lambda2),
+             "--lr", repr(args.lr), "--epochs", str(args.epochs), "--batch", args.batch]
+    flags += [] if args.labels is None else ["--labels", args.labels]
+    flags += [] if args.keep_background else ["--mask-unlabeled"]
 
     accs, nmis = [], []
     for seed in range(args.seeds):
-        config = TrainConfig(
-            k=args.k, lambda1=args.lambda1, lambda2=args.lambda2,
-            lr=args.lr, max_epochs=args.epochs, seed=seed,
-            batch_size=args.batch,
-        )
-        _, _, reports = train(ds.features, config, dims, labels=ds.labels)
-        final = reports[-1]
-        accs.append(final.accuracy)
-        nmis.append(final.nmi)
-        print(f"seed={seed} epochs={final.epoch} "
-              f"accuracy={100 * final.accuracy:.2f} nmi={100 * final.nmi:.2f}")
+        run_dir = out_dir / f"seed{seed}"
+        code = cli.main(["train", *flags, "--seed", str(seed), "--out-dir", str(run_dir)])
+        if code != 0:
+            return code
+        header, *_, last = (run_dir / "epoch_log.csv").read_text().splitlines()
+        final = dict(zip(header.split(","), map(float, last.split(","))))
+        accs.append(final["accuracy"])
+        nmis.append(final["nmi"])
+        print(f"seed={seed} accuracy={100 * accs[-1]:.2f} nmi={100 * nmis[-1]:.2f}")
     print(f"accuracy {100 * np.mean(accs):.2f} +/- {100 * np.std(accs):.2f}   "
           f"nmi {100 * np.mean(nmis):.2f} +/- {100 * np.std(nmis):.2f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

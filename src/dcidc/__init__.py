@@ -26,7 +26,6 @@ from .training import (
     DivergenceError,
     EpochReport,
     TrainConfig,
-    lambda1_sweep,
     loss_terms,
     train,
 )

@@ -25,26 +25,18 @@ from .autoencoder import NetworkParams
 from .data import dcmx_bytes, labels_path, read_dcmx
 from .training import EpochReport, TrainConfig
 
-EPOCH_LOG_HEADER = "epoch,j_total,j1,j2,j3,accuracy,nmi,empty_cluster_events"
+EPOCH_LOG_COLUMNS = tuple(f.name for f in fields(EpochReport))
+EPOCH_LOG_HEADER = ",".join(EPOCH_LOG_COLUMNS)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.17g}"
+def _fmt(value: float | int | None) -> str:
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else f"{value:.17g}"
 
 
 def epoch_csv_line(report: EpochReport) -> str:
-    return ",".join(
-        [
-            str(report.epoch),
-            _fmt(report.j_total),
-            _fmt(report.j1),
-            _fmt(report.j2),
-            _fmt(report.j3),
-            _fmt(report.accuracy),
-            _fmt(report.nmi),
-            str(report.empty_cluster_events),
-        ]
-    )
+    return ",".join(_fmt(getattr(report, name)) for name in EPOCH_LOG_COLUMNS)
 
 
 def save_checkpoint(path, params: NetworkParams, epoch: int) -> None:
@@ -128,6 +120,11 @@ class RunSpec:
             )
         if self.map_shape is not None and not self.mask_unlabeled:
             raise ValueError("--map-shape needs --mask-unlabeled")
+        if self.map_shape is not None and self.config.k > 255:
+            # gray 255 marks background, so clusters must stay within 0..254
+            raise ValueError(
+                f"--map-shape draws at most 255 clusters, got --k {self.config.k}"
+            )
 
 
 def _fits(value, hint) -> bool:

@@ -16,6 +16,7 @@ import os
 import shutil
 import sys
 import uuid
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import artifacts as art
 from . import autoencoder as net
 from . import clusters, data, gradcheck, metrics
 from .activations import ActivationKind, parse_kind
-from .training import DivergenceError, TrainConfig, lambda1_sweep, train
+from .training import DivergenceError, TrainConfig, train
 
 KINDS = tuple(kind.value for kind in ActivationKind)
 
@@ -224,22 +225,29 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
+    # every cell is validated before the first one trains
+    cells = [replace(spec.config, lambda1=float(tok)) for tok in args.grid.split(",")]
     ds, dims, enc, dec = _prepare(spec)
     if ds.labels is None:
         raise ValueError("sweep needs labels (companion file or --labels)")
-    grid = [float(tok) for tok in args.grid.split(",")]
-    rows = lambda1_sweep(ds.features, spec.config, dims, grid, ds.labels, enc, dec)
     lines = ["lambda1,accuracy,nmi"]
-    for row in rows:
-        lines.append(f"{row.lambda1:g},{row.accuracy:.6f},{row.nmi:.6f}")
-        if row.error:
-            print(f"lambda1={row.lambda1:g} failed: {row.error}", file=sys.stderr)
+    failed = 0
+    for cell in cells:
+        try:
+            _, _, reports = train(ds.features, cell, dims, enc, dec, labels=ds.labels)
+        except (DivergenceError, clusters.DegenerateCentersError) as exc:
+            print(f"lambda1={cell.lambda1:g} failed: {exc}", file=sys.stderr)
+            lines.append(f"{cell.lambda1:g},nan,nan")
+            failed += 1
+        else:
+            final = reports[-1]
+            lines.append(f"{cell.lambda1:g},{final.accuracy:.6f},{final.nmi:.6f}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 1 if all(row.error for row in rows) else 0
+    return 1 if failed == len(cells) else 0
 
 
 def cmd_synth(args) -> int:

@@ -21,7 +21,7 @@ desk-scale benchmarks shipped with the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class TrainConfig:
     batch_size: int | None = None  # None means full batch
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "lr", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -195,42 +198,3 @@ def train(
                     )
                     net.apply_update(params, grads, config.lr)
     return params, state, reports
-
-
-@dataclass
-class SweepRow:
-    lambda1: float
-    accuracy: float
-    nmi: float
-    error: str | None = None
-
-
-def lambda1_sweep(
-    data: np.ndarray,
-    config: TrainConfig,
-    dims: list[int],
-    grid,
-    labels: np.ndarray,
-    enc_activation: ActivationKind = DEFAULT_ACTIVATION,
-    dec_activation: ActivationKind | None = None,
-) -> list[SweepRow]:
-    """One full train run per grid value; failures are recorded per cell."""
-    if labels is None:
-        raise ValueError("lambda1_sweep needs ground-truth labels")
-    rows = []
-    for value in grid:
-        cell = replace(config, lambda1=float(value))
-        try:
-            _, state, _ = train(
-                data, cell, dims, enc_activation, dec_activation, labels=labels
-            )
-            rows.append(
-                SweepRow(
-                    float(value),
-                    metrics.accuracy(state.indicator, labels),
-                    metrics.nmi(state.indicator, labels),
-                )
-            )
-        except (DivergenceError, clusters.DegenerateCentersError) as exc:
-            rows.append(SweepRow(float(value), float("nan"), float("nan"), str(exc)))
-    return rows

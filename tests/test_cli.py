@@ -79,6 +79,15 @@ class TestTrain:
         assert code == 2
         assert "lambda1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda1", "nan"), ("--lambda2", "inf"), ("--lr", "inf"), ("--tol", "nan"),
+    ])
+    def test_non_finite_value_exits_2(self, blob_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        assert main(train_args(blob_file, out, flag, value)) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dims_must_match_data(self, blob_file, tmp_path, capsys):
         code = main(["train", "--data", str(blob_file), "--k", "3",
                      "--dims", "9,4,3", "--out-dir", str(tmp_path / "y")])
@@ -120,6 +129,17 @@ class TestTrain:
         args.remove("--mask-unlabeled")
         assert main(args) == 2
         assert "--mask-unlabeled" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["256", "257"])
+    def test_map_shape_needs_k_within_gray_levels(self, tmp_path, capsys, k):
+        # gray 255 marks background, so cluster 255 would be drawn as background
+        out = tmp_path / "run"
+        args = image_args(image_file(tmp_path), out, "--map-shape", "3x4",
+                          "--epochs", "0")
+        args[args.index("--k") + 1] = k
+        assert main(args) == 2
+        assert f"got --k {k}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_map_shape_must_fit_image_before_training(self, tmp_path, capsys):
@@ -199,7 +219,8 @@ class TestReplayAnywhere:
         assert "img.labels.csv: fingerprint" in capsys.readouterr().err
         assert not copy.exists()
 
-    @pytest.mark.parametrize("edit", ["extra", "missing", "config", "value", "type"])
+    @pytest.mark.parametrize("edit",
+                             ["extra", "missing", "config", "value", "type", "nan"])
     def test_manifest_keys_checked(self, blob_file, tmp_path, capsys, edit):
         out = tmp_path / "run"
         assert main(train_args(blob_file, out)) == 0
@@ -213,13 +234,16 @@ class TestReplayAnywhere:
             record["spec"]["config"]["momentum"] = 0.9
         elif edit == "type":
             record["spec"]["config"]["k"] = "3"
+        elif edit == "nan":
+            record["spec"]["config"]["tol"] = float("nan")  # written as NaN
         else:
             record["spec"]["normalize"] = "l2"
         path.write_text(json.dumps(record))
         assert main(["replay", str(path), "--out-dir", str(tmp_path / "copy")]) == 2
         err = capsys.readouterr().err
         expected = {"extra": "note", "missing": "normalize", "config": "momentum",
-                    "value": "'l2'", "type": "spec.config.k: expected int, got '3'"}
+                    "value": "'l2'", "type": "spec.config.k: expected int, got '3'",
+                    "nan": "tol must be finite"}
         assert expected[edit] in err
 
 
@@ -275,8 +299,7 @@ class TestSweep:
         run_dir = tmp_path / "ref"
         assert main(train_args(blob_file, run_dir)) == 0
         final = (run_dir / "epoch_log.csv").read_text().splitlines()[-1].split(",")
-        assert float(row.split(",")[1]) == pytest.approx(float(final[5]), abs=1e-6)
-        assert float(row.split(",")[2]) == pytest.approx(float(final[6]), abs=1e-6)
+        assert row == f"0.3,{float(final[5]):.6f},{float(final[6]):.6f}"
 
     def test_grid_with_zero_baseline(self, blob_file, tmp_path, capsys):
         assert main([
@@ -295,3 +318,31 @@ class TestSweep:
             "--lr", "1e300", "--lambda2", "1",
         ]) == 1
         assert capsys.readouterr().err.count("failed") == 2
+
+    def test_two_sweeps_identical(self, blob_file, capsys):
+        args = ["sweep", "--data", str(blob_file), "--k", "3", "--dims", "6,4,3",
+                "--epochs", "12", "--seed", "7", "--grid", "0,0.1,0.3,1.0"]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+        rows = [line.split(",") for line in first.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "0.1", "0.3", "1"]
+        assert all(np.isfinite(float(v)) for row in rows for v in row[1:])
+
+    def test_without_labels_exits_2(self, blob_file, capsys):
+        (blob_file.parent / "blobs.labels.csv").unlink()
+        assert main(["sweep", "--data", str(blob_file), "--k", "3",
+                     "--dims", "6,4,3", "--grid", "0.3"]) == 2
+        assert "sweep needs labels" in capsys.readouterr().err
+
+    def test_invalid_cell_rejects_grid_before_training(self, blob_file, capsys,
+                                                       monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained before the grid was checked")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(autoencoder, "init", no_training)
+        assert main(["sweep", "--data", str(blob_file), "--k", "3",
+                     "--dims", "6,4,3", "--grid", "0.3,-1"]) == 2
+        assert "lambda1" in capsys.readouterr().err

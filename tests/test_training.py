@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -8,13 +6,7 @@ from dcidc.activations import ActivationKind
 from dcidc.autoencoder import forward, init, mirror_dims
 from dcidc.clusters import ClusterState, init_indicator
 from dcidc.data import normalize, synth_blobs
-from dcidc.training import (
-    DivergenceError,
-    TrainConfig,
-    lambda1_sweep,
-    loss_terms,
-    train,
-)
+from dcidc.training import DivergenceError, TrainConfig, loss_terms, train
 
 TANH = ActivationKind.TANH
 
@@ -204,36 +196,3 @@ class TestTrain:
         cfg = TrainConfig(k=2, max_epochs=5000, tol=1e-4, seed=0, lr=1e-2)
         _, _, reports = train(data, cfg, mirror_dims([4, 3, 2]))
         assert reports[-1].epoch < 5000
-
-
-class TestSweep:
-    def test_singleton_grid_equals_direct_train(self):
-        ds = small_blobs(6)
-        cfg = TrainConfig(k=3, max_epochs=12, seed=6)
-        dims = mirror_dims([5, 4, 3])
-        rows = lambda1_sweep(ds.features, cfg, dims, [0.3], ds.labels)
-        _, state, reports = train(
-            ds.features, dataclasses.replace(cfg, lambda1=0.3), dims,
-            labels=ds.labels,
-        )
-        assert len(rows) == 1
-        assert rows[0].lambda1 == 0.3
-        assert rows[0].accuracy == reports[-1].accuracy
-        assert rows[0].nmi == reports[-1].nmi
-
-    def test_grid_rows_finite_and_reproducible(self):
-        ds = small_blobs(7)
-        cfg = TrainConfig(k=3, max_epochs=12, seed=7)
-        dims = mirror_dims([5, 4, 3])
-        grid = [0.0, 0.1, 0.3, 1.0]
-        first = lambda1_sweep(ds.features, cfg, dims, grid, ds.labels)
-        second = lambda1_sweep(ds.features, cfg, dims, grid, ds.labels)
-        assert [r.lambda1 for r in first] == grid
-        assert all(np.isfinite(r.accuracy) and np.isfinite(r.nmi) for r in first)
-        assert first == second
-
-    def test_requires_labels(self):
-        ds = small_blobs(8)
-        with pytest.raises(ValueError):
-            lambda1_sweep(ds.features, TrainConfig(k=3), mirror_dims([5, 4, 3]),
-                          [0.3], None)
