@@ -43,10 +43,15 @@ def main(argv=None) -> int:
     ap.add_argument("--out-dir", default="dcidc-hsi", help="parent of the seed<N> runs")
     args = ap.parse_args(argv)
 
+    if args.seeds < 1:
+        ap.error(f"--seeds must be at least 1, got {args.seeds}")
     out_dir = Path(args.out_dir)
     if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):
         ap.error(f"--out-dir {out_dir} exists and is not an empty directory")
-    ds = load(args.data, labels_file=args.labels)
+    try:
+        ds = load(args.data, labels_file=args.labels)
+    except (OSError, ValueError) as exc:  # DataFormatError too
+        ap.error(str(exc))
     if ds.labels is None:
         ap.error("ground-truth labels are required for this harness")
     dims = args.dims or ",".join(map(str, default_dims(ds.dim, args.k)))

@@ -135,7 +135,9 @@ def init(
 
 def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
     """Layer outputs for batch, computed in its float type (float64 for an
-    integer batch); the weights and biases are cast to that type per call."""
+    integer batch); the weights and biases are cast to that type per call.
+    Each activation overwrites the layer's fresh pre-activation array; the
+    batch itself is never written."""
     if batch.ndim != 2 or batch.shape[1] != params.dims[0]:
         raise ShapeMismatchError(
             f"forward: batch of shape {batch.shape} does not match input "
@@ -146,14 +148,16 @@ def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
     for m, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
         y = acts[-1] @ w.astype(dtype, copy=False).T
         y += b.astype(dtype, copy=False)
-        acts.append(apply(params.layer_activation(m), y))
+        acts.append(apply(params.layer_activation(m), y, out=y))
     return ForwardTrace(acts)
 
 
 def reconstruction_deltas(params: NetworkParams, trace: ForwardTrace) -> np.ndarray:
     """Backward signal of the reconstruction error at the output layer, N x dims[M]."""
     x, out = trace.activations[0], trace.reconstruction
-    return -(x - out) * derivative(params.layer_activation(params.num_layers), out)
+    delta = np.subtract(out, x)  # -(x - out), up to the sign of exact zeros
+    delta *= derivative(params.layer_activation(params.num_layers), out)
+    return delta
 
 
 def constraint_deltas(
@@ -180,8 +184,9 @@ def constraint_deltas(
             f"width {params.code_dim}"
         )
     code, dtype = trace.code, trace.code.dtype
-    assigned = centers.T.astype(dtype)[assignments]
-    return (code - assigned) * derivative(params.enc_activation, code)
+    delta = code - centers.T.astype(dtype)[assignments]
+    delta *= derivative(params.enc_activation, code)
+    return delta
 
 
 def backward(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dcidc.activations import ActivationKind, apply, derivative, parse_kind
 
@@ -67,6 +68,63 @@ def test_softplus_stable_for_large_inputs():
     assert out[0] == pytest.approx(800.0)
     assert out[1] == pytest.approx(0.0, abs=1e-300)
     assert np.all(np.isfinite(derivative_at(ActivationKind.SOFTPLUS, big)))
+
+
+@st.composite
+def pre_activations(draw):
+    """A small float32 or float64 array of mixed-sign values, some of them large."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 8 * np.dtype(dtype).itemsize
+    elements = st.one_of(st.floats(-6, 6, width=width),
+                         st.floats(-1e4, 1e4, width=width))
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 5)))
+    return draw(arrays(dtype, shape, elements=elements))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def plain_derivative(kind, z):
+    """The derivative as a plain expression, one fresh array per operation."""
+    if kind is ActivationKind.TANH:
+        return 1.0 - z * z
+    if kind is ActivationKind.SIGMOID:
+        return z * (1.0 - z)
+    if kind is ActivationKind.NSSIGMOID:
+        d = 1.0 - np.abs(z)
+        return d * d
+    return -np.expm1(-z)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@given(pre_activations())
+@settings(max_examples=50, deadline=None)
+def test_derivative_bits_match_plain_expression(kind, y):
+    z = apply(kind, y)
+    assert same_bits(derivative(kind, z), plain_derivative(kind, z))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@given(pre_activations())
+@settings(max_examples=50, deadline=None)
+def test_apply_into_its_input_matches_fresh_result(kind, y):
+    before = y.copy()
+    fresh = apply(kind, y)
+    assert same_bits(y, before)
+    inplace = y.copy()
+    assert apply(kind, inplace, out=inplace) is inplace
+    assert same_bits(inplace, fresh)
+
+
+@pytest.mark.parametrize("kind, plain", [
+    (ActivationKind.TANH, np.tanh),
+    (ActivationKind.NSSIGMOID, lambda y: y / (1.0 + np.abs(y))),
+])
+@given(pre_activations())
+@settings(max_examples=50, deadline=None)
+def test_apply_bits_match_plain_expression(kind, plain, y):
+    assert same_bits(apply(kind, y), plain(y))
 
 
 def test_parse_kind_names():

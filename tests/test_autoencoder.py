@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dcidc import gradcheck
-from dcidc.activations import ActivationKind
+from dcidc.activations import ActivationKind, derivative
 from dcidc.autoencoder import (
     Gradients,
     apply_update,
@@ -13,6 +14,7 @@ from dcidc.autoencoder import (
     forward,
     init,
     mirror_dims,
+    reconstruction_deltas,
     validate_dims,
 )
 from dcidc.clusters import init_indicator
@@ -276,6 +278,70 @@ def test_float32_batch_computes_in_float32(kind):
     for a, b in zip(narrow.d_weights + narrow.d_biases, wide.d_weights + wide.d_biases):
         assert a.dtype == np.float64
         assert gradcheck.relative_error(a, b).max() <= 1e-4
+
+
+@st.composite
+def wide_range_instances(draw):
+    """A 4-3-2-3-4 net of one activation kind with a float32 or float64 batch
+    of mixed-sign values, some large enough to saturate the first layer."""
+    kind = draw(st.sampled_from(list(ActivationKind)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 8 * np.dtype(dtype).itemsize
+    seed = draw(st.integers(0, 2**16))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    elements = st.one_of(st.floats(-6, 6, width=width),
+                         st.floats(-1e3, 1e3, width=width))
+    batch = draw(arrays(dtype, (n, 4), elements=elements))
+    params = init(mirror_dims([4, 3, 2]), kind, kind, seed)
+    centers = np.random.default_rng(seed).normal(0.0, 0.5, size=(2, k))
+    return params, batch, init_indicator(n, k, seed), centers
+
+
+@given(wide_range_instances())
+@settings(max_examples=100, deadline=None)
+def test_reconstruction_deltas_match_plain_expression(instance):
+    params, batch, *_ = instance
+    trace = forward(params, batch)
+    out = trace.reconstruction
+    plain = -(batch - out) * derivative(params.dec_activation, out)
+    delta = reconstruction_deltas(params, trace)
+    # out - x is -(x - out) bit for bit, but for the sign of exact zeros,
+    # which array_equal does not see
+    assert delta.dtype == plain.dtype and np.array_equal(delta, plain)
+
+
+@given(wide_range_instances())
+@settings(max_examples=100, deadline=None)
+def test_constraint_deltas_match_plain_expression(instance):
+    params, batch, assignments, centers = instance
+    trace = forward(params, batch)
+    code = trace.code
+    assigned = (np.eye(centers.shape[1])[assignments] @ centers.T).astype(code.dtype)
+    plain = (code - assigned) * derivative(params.enc_activation, code)
+    delta = constraint_deltas(params, trace, assignments, centers)
+    assert delta.dtype == plain.dtype and delta.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_passes_share_and_overwrite_no_trace_array(kind, dtype):
+    params, batch, assignments, centers = random_instance(
+        6, mirror_dims([6, 4, 2]), 9, 2, kind
+    )
+    batch = batch.astype(dtype)
+    before = batch.copy()
+    trace = forward(params, batch)
+    assert batch.tobytes() == before.tobytes()
+    acts = trace.activations
+    assert acts[0] is batch
+    for i in range(1, len(acts)):
+        for j in range(i):
+            assert not np.shares_memory(acts[i], acts[j]), (i, j)
+    snapshot = [a.copy() for a in acts]
+    backward(params, trace, assignments, centers, 0.3, 3e-4)
+    for a, s in zip(acts, snapshot):
+        assert a.tobytes() == s.tobytes()
 
 
 class TestApplyUpdate:

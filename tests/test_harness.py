@@ -75,15 +75,31 @@ def test_keep_background_clusters_every_pixel(scene, tmp_path):
     assert len((out / "seed0" / "labels.csv").read_text().splitlines()) == 75
 
 
-@pytest.mark.parametrize("problem", ["nonempty out dir", "no labels"])
+BAD_INPUT = {  # problem -> what stderr must say
+    "nonempty out dir": "not an empty directory",
+    "no labels": "labels are required",
+    "missing data": "No such file or directory",
+    "malformed data": "could not convert",
+    "zero seeds": "--seeds must be at least 1",
+}
+
+
+@pytest.mark.parametrize("problem", BAD_INPUT)
 def test_bad_input_exits_2_before_training(scene, tmp_path, capsys, monkeypatch,
                                            problem):
     out = tmp_path / "runs"
+    args = harness_args(scene, out)
     if problem == "nonempty out dir":
         out.mkdir()
         (out / "notes.txt").write_text("keep me")
-    else:
+    elif problem == "no labels":
         (tmp_path / "scene.labels.csv").unlink()
+    elif problem == "missing data":
+        args[1] = str(tmp_path / "nope.csv")
+    elif problem == "malformed data":
+        scene.write_text("1.0,2.0\nfoo,3.0\n")
+    else:
+        args += ["--seeds", "0"]
 
     def no_training(*args, **kwargs):
         raise AssertionError("the harness trained on bad input")
@@ -91,9 +107,7 @@ def test_bad_input_exits_2_before_training(scene, tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(cli, "train", no_training)
     monkeypatch.setattr(autoencoder, "init", no_training)
     with pytest.raises(SystemExit) as exc:
-        harness.main(harness_args(scene, out))
+        harness.main(args)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert ("not an empty directory" if problem == "nonempty out dir"
-            else "labels are required") in err
+    assert BAD_INPUT[problem] in capsys.readouterr().err
     assert not out.exists() or [p.name for p in out.iterdir()] == ["notes.txt"]
