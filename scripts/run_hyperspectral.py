@@ -5,8 +5,9 @@ Expects a converted feature file (dcmx or csv, one row per pixel) plus a
 label file where class 0 marks unlabeled background.  Runs `dcidc train`
 once per seed, with the standard wide-network shapes, into the replayable
 run directory <out-dir>/seed<N>, and reports mean and standard deviation of
-the final accuracy and NMI.  Results depend heavily on the learning rate and
-epoch budget; treat them as a comparison harness, not a fixed target.
+the final accuracy and NMI.  Other flags (--lr, --epochs, ...) go unchanged
+to `dcidc train`.  Results depend heavily on the learning rate and epoch
+budget; treat them as a comparison harness, not a fixed target.
 """
 
 import argparse
@@ -25,23 +26,19 @@ def default_dims(d: int, k: int) -> list[int]:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    # no abbreviations: a forwarded --seed must not read as --seeds
+    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--data", required=True)
     ap.add_argument("--labels", default=None,
                     help="label csv; defaults to <data stem>.labels.csv")
     ap.add_argument("--k", type=int, required=True)
     ap.add_argument("--dims", default=None,
                     help="encoder widths incl. input (default by band count)")
-    ap.add_argument("--lambda1", type=float, default=0.3)
-    ap.add_argument("--lambda2", type=float, default=0.0003)
-    ap.add_argument("--lr", type=float, default=1e-3)
-    ap.add_argument("--epochs", type=int, default=300)
-    ap.add_argument("--batch", default="full", help="mini-batch size or 'full'")
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--keep-background", action="store_true",
                     help="cluster all pixels instead of dropping class 0")
     ap.add_argument("--out-dir", default="dcidc-hsi", help="parent of the seed<N> runs")
-    args = ap.parse_args(argv)
+    args, train_flags = ap.parse_known_args(argv)
 
     if args.seeds < 1:
         ap.error(f"--seeds must be at least 1, got {args.seeds}")
@@ -58,11 +55,10 @@ def main(argv=None) -> int:
     print(f"{ds.n} pixels ({np.count_nonzero(ds.labels)} labeled), {ds.dim} bands, "
           f"k={args.k}, encoder dims={dims}")
     del ds  # each seed's run loads the data itself
-    flags = ["--data", args.data, "--k", str(args.k), "--dims", dims,
-             "--lambda1", repr(args.lambda1), "--lambda2", repr(args.lambda2),
-             "--lr", repr(args.lr), "--epochs", str(args.epochs), "--batch", args.batch]
+    flags = ["--data", args.data, "--k", str(args.k), "--dims", dims]
     flags += [] if args.labels is None else ["--labels", args.labels]
     flags += [] if args.keep_background else ["--mask-unlabeled"]
+    flags += train_flags
 
     accs, nmis = [], []
     for seed in range(args.seeds):

@@ -102,7 +102,6 @@ class RunSpec:
     """Everything a training run reads: train, sweep and replay run from it."""
 
     data: str
-    format: str | None
     labels: str | None
     normalize: str  # a key of NORMALIZE_MODES
     mask_unlabeled: bool

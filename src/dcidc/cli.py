@@ -55,19 +55,19 @@ def _parse_map_shape(text: str) -> list[int]:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     """Flags shared by train and sweep; each one is a RunSpec field."""
-    p.add_argument("--data", required=True, help="feature file (csv or dcmx)")
-    p.add_argument("--format", choices=("csv", "dcmx"), default=None)
+    p.add_argument("--data", required=True,
+                   help="feature file: dcmx if it begins with DCMX, else csv")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--dims", required=True,
                    help="encoder widths incl. input, e.g. 10,6,2; decoder mirrors")
     p.add_argument("--activation", default="tanh", choices=KINDS)
     p.add_argument("--dec-activation", default=None, choices=KINDS)
-    p.add_argument("--lambda2", type=float, default=0.0003)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--lambda2", type=float, default=TrainConfig.lambda2)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--tol", type=float, default=TrainConfig.tol)
     p.add_argument("--batch", default="full", help="mini-batch size or 'full'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--labels", default=None,
                    help="label csv (defaults to <data stem>.labels.csv if present)")
     p.add_argument("--normalize", default="minmax", choices=tuple(art.NORMALIZE_MODES))
@@ -78,7 +78,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _spec_from_args(args) -> art.RunSpec:
     return art.RunSpec(
         data=args.data,
-        format=args.format,
         labels=args.labels,
         normalize=args.normalize,
         mask_unlabeled=args.mask_unlabeled,
@@ -100,7 +99,7 @@ def _spec_from_args(args) -> art.RunSpec:
 
 
 def _load_dataset(spec: art.RunSpec) -> data.Dataset:
-    ds = data.load(spec.data, spec.format, spec.labels)
+    ds = data.load(spec.data, spec.labels)
     if spec.mask_unlabeled:
         ds = data.mask_unlabeled(ds)
     if spec.normalize != "none":
@@ -133,10 +132,9 @@ def _run_training(spec: art.RunSpec, out_dir: Path) -> None:
     ds, dims, enc, dec = _prepare(spec)
     if spec.map_shape is not None:
         h, w = spec.map_shape
-        full_size = ds.meta["full_size"]
-        if h * w != full_size:
+        if h * w != ds.mask.size:
             raise ValueError(
-                f"--map-shape {h}x{w} holds {h * w} pixels, the image has {full_size}"
+                f"--map-shape {h}x{w} holds {h * w} pixels, the image has {ds.mask.size}"
             )
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = out_dir.with_name(f".{out_dir.name}.{uuid.uuid4().hex[:12]}.partial")
@@ -174,7 +172,7 @@ def _write_run(spec: art.RunSpec, ds: data.Dataset, dims, enc, dec, out_dir: Pat
         "checkpoint": "checkpoint.bin",
     }
     if ds.mask is not None:
-        full = data.scatter_labels(labels_out, ds.mask, ds.meta["full_size"], sentinel=-1)
+        full = data.scatter_labels(labels_out, ds.mask)
         data.save_label_csv(out_dir / "labels_full.csv", full)
         paths["labels_full_csv"] = "labels_full.csv"
         if spec.map_shape is not None:
@@ -200,6 +198,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (np.isfinite(args.step) and args.step != 0):
+        raise ValueError(f"--step must be finite and nonzero, got {args.step}")
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     dims = net.mirror_dims(_parse_dims(args.dims))
     enc = parse_kind(args.activation)
     dec = enc if args.dec_activation is None else parse_kind(args.dec_activation)
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train and write run artifacts")
     _add_run_flags(p)
-    p.add_argument("--lambda1", type=float, default=0.3)
+    p.add_argument("--lambda1", type=float, default=TrainConfig.lambda1)
     p.add_argument("--out-dir", default="dcidc-out")
     p.add_argument("--map-shape", default=None,
                    help="HEIGHTxWIDTH of the unmasked image, enables PGM label map;"
@@ -286,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="5,3,2")
     p.add_argument("--activation", default="tanh", choices=KINDS)
     p.add_argument("--dec-activation", default=None, choices=KINDS)
-    p.add_argument("--lambda1", type=float, default=0.3)
-    p.add_argument("--lambda2", type=float, default=0.0003)
+    p.add_argument("--lambda1", type=float, default=TrainConfig.lambda1)
+    p.add_argument("--lambda2", type=float, default=TrainConfig.lambda2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=6)
     p.add_argument("--k", type=int, default=2)

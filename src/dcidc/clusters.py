@@ -37,7 +37,6 @@ class DegenerateCentersError(ValueError):
 class ClusterState:
     centers: np.ndarray     # code_dim x k, column i is the center of cluster i
     indicator: np.ndarray   # the indicator H stored as each row's column index
-    k: int
 
 
 def init_indicator(n: int, k: int, seed: int) -> np.ndarray:

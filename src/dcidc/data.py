@@ -1,6 +1,7 @@
 """Dataset ingestion, normalization, label masking, and synthetic benchmarks.
 
-Two on-disk feature formats are supported:
+Two on-disk feature formats are supported; a file that begins with the
+dcmx magic bytes is read as dcmx, any other file as CSV, whatever its name:
 
 * ``dcmx`` binary matrices: magic bytes ``DCMX``, version byte 0x01, then
   little-endian u32 row and column counts (both at least 1), then
@@ -30,14 +31,14 @@ _HEADER = struct.Struct("<4sBII")
 
 
 class DataFormatError(ValueError):
-    """File did not parse as the declared format."""
+    """File did not parse as the format its first bytes select."""
 
 
 @dataclass
 class Dataset:
     features: np.ndarray                 # n x d, one row per sample
     labels: np.ndarray | None = None     # int labels, length n
-    mask: np.ndarray | None = None       # original row indices of survivors
+    mask: np.ndarray | None = None       # bool per original row: True if kept
     meta: dict = field(default_factory=dict)
 
     @property
@@ -98,27 +99,36 @@ def load_dcmx(path) -> np.ndarray:
     return matrix
 
 
+def _text_lines(path):
+    """(line number, stripped text) of each non-blank line of an ASCII file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line.strip()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not ASCII CSV text (byte 0x{exc.object[exc.start]:02x})"
+        ) from None
+
+
 def load_feature_csv(path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {width} columns, found {len(row)}"
-                )
-            if not all(np.isfinite(row)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite value")
-            rows.append(row)
+    for lineno, line in _text_lines(path):
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {width} columns, found {len(row)}"
+            )
+        if not all(np.isfinite(row)):
+            raise DataFormatError(f"{path}:{lineno}: non-finite value")
+        rows.append(row)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)
@@ -126,15 +136,11 @@ def load_feature_csv(path) -> np.ndarray:
 
 def load_label_csv(path) -> np.ndarray:
     labels = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in _text_lines(path):
+        try:
+            labels.append(int(line))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     return np.array(labels, dtype=np.int64)
 
 
@@ -157,17 +163,13 @@ def labels_path(path, labels_file=None) -> Path | None:
     return companion if companion.exists() else None
 
 
-def load(path, fmt: str | None = None, labels_file=None) -> Dataset:
-    """Load a feature file (csv or dcmx) and the labels file labels_path picks."""
+def load(path, labels_file=None) -> Dataset:
+    """Load a feature file, dcmx if it begins with the dcmx magic bytes and
+    CSV otherwise, and the labels file labels_path picks."""
     path = Path(path)
-    if fmt is None:
-        fmt = "dcmx" if path.suffix == ".dcmx" else "csv"
-    if fmt == "dcmx":
-        features = load_dcmx(path)
-    elif fmt == "csv":
-        features = load_feature_csv(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'dcmx'")
+    with open(path, "rb") as fh:
+        is_dcmx = fh.read(len(_MAGIC)) == _MAGIC
+    features = load_dcmx(path) if is_dcmx else load_feature_csv(path)
     if not np.all(np.isfinite(features)):
         raise DataFormatError(f"{path}: non-finite feature values")
     labels, label_path = None, labels_path(path, labels_file)
@@ -177,7 +179,7 @@ def load(path, fmt: str | None = None, labels_file=None) -> Dataset:
             raise DataFormatError(
                 f"{label_path}: {labels.size} labels for {features.shape[0]} rows"
             )
-    return Dataset(features, labels=labels, meta={"name": path.stem})
+    return Dataset(features, labels=labels)
 
 
 def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
@@ -206,34 +208,29 @@ def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
 
 def mask_unlabeled(dataset: Dataset) -> Dataset:
     """Drop rows labeled 0 (background) and re-index the remaining labels
-    densely; the mask records surviving original row indices."""
+    densely; the mask marks the surviving rows among the original ones."""
     if dataset.labels is None:
         raise ValueError("mask_unlabeled needs labels")
     keep = dataset.labels != 0
     if not keep.any():
         raise ValueError("mask_unlabeled would remove every row")
-    kept_labels = dataset.labels[keep]
-    _, dense = np.unique(kept_labels, return_inverse=True)
-    surviving = np.flatnonzero(keep)
-    if dataset.mask is not None:
-        surviving = dataset.mask[keep]
-    meta = dict(dataset.meta)
-    meta.setdefault("full_size", dataset.n if dataset.mask is None else int(meta.get("full_size", dataset.n)))
+    _, dense = np.unique(dataset.labels[keep], return_inverse=True)
     return Dataset(
         dataset.features[keep],
         labels=dense.astype(np.int64),
-        mask=surviving,
-        meta=meta,
+        mask=keep,
+        meta=dict(dataset.meta),
     )
 
 
-def scatter_labels(labels, mask, full_size: int, sentinel: int = -1) -> np.ndarray:
-    """Spread masked-subset labels back onto the original row positions."""
+def scatter_labels(labels, mask, sentinel: int = -1) -> np.ndarray:
+    """Spread masked-subset labels back onto the original rows, given the
+    boolean row mask of mask_unlabeled."""
     labels = np.asarray(labels)
-    mask = np.asarray(mask)
-    if labels.size != mask.size:
-        raise ValueError(f"{labels.size} labels for {mask.size} mask entries")
-    full = np.full(full_size, sentinel, dtype=np.int64)
+    kept = np.count_nonzero(mask)
+    if labels.size != kept:
+        raise ValueError(f"{labels.size} labels for {kept} kept rows")
+    full = np.full(mask.size, sentinel, dtype=np.int64)
     full[mask] = labels
     return full
 
@@ -249,8 +246,12 @@ def synth_blobs(
     """Isotropic Gaussian clusters with centers at mutual distance >= separation."""
     if k < 2:
         raise ValueError(f"need at least 2 clusters, got {k}")
-    if separation <= 0:
-        raise ValueError(f"separation must be positive, got {separation}")
+    if n_per_cluster < 1 or dim < 1:
+        raise ValueError(f"need n_per_cluster, dim >= 1, got {n_per_cluster}, {dim}")
+    if not (np.isfinite(separation) and separation > 0):
+        raise ValueError(f"separation must be positive and finite, got {separation}")
+    if not np.isfinite(noise_sigma):
+        raise ValueError(f"noise sigma must be finite, got {noise_sigma}")
     rng = substream(seed, "synth")
     side = separation * max(2.0, k ** (1.0 / dim))
     centers = None
@@ -274,5 +275,5 @@ def synth_blobs(
     return Dataset(
         points,
         labels=labels,
-        meta={"name": "blobs", "centers": centers.tolist()},
+        meta={"centers": centers.tolist()},
     )

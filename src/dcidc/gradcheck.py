@@ -27,7 +27,7 @@ def total_loss(
     lambda2: float,
 ) -> float:
     trace = net.forward(params, batch)
-    state = ClusterState(centers, assignments, centers.shape[1])
+    state = ClusterState(centers, assignments)
     return loss_terms(params, trace, state, lambda1, lambda2)[0]
 
 
@@ -68,7 +68,8 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 def max_relative_error(
     analytic: net.Gradients, numeric: net.Gradients
 ) -> tuple[float, str]:
-    """Worst guarded relative error and the coordinate where it occurs."""
+    """Worst guarded relative error and the coordinate where it occurs; a
+    NaN error is the worst, and the first one is reported."""
     worst, where = 0.0, ""
     for name, a_list, n_list in (
         ("W", analytic.d_weights, numeric.d_weights),
@@ -76,8 +77,8 @@ def max_relative_error(
     ):
         for m, (a, n) in enumerate(zip(a_list, n_list), start=1):
             err = relative_error(a, n)
-            idx = int(np.argmax(err))
-            if err.ravel()[idx] > worst:
+            idx = int(np.argmax(err))  # the first NaN, if err has one
+            if not np.isnan(worst) and not err.ravel()[idx] <= worst:
                 worst = float(err.ravel()[idx])
                 coords = tuple(int(c) for c in np.unravel_index(idx, a.shape))
                 where = f"{name}{m}{list(coords)}"

@@ -147,7 +147,7 @@ def train(
             centers, reseeded = clusters.update_centers(
                 codes, assigned, config.k, centers
             )
-            state = clusters.ClusterState(centers, assigned, config.k)
+            state = clusters.ClusterState(centers, assigned)
             j_total, j1, j2, j3 = loss_terms(
                 params, trace, state, config.lambda1, config.lambda2
             )
@@ -178,7 +178,6 @@ def train(
                     raise DivergenceError(epoch, float("inf"))
                 raise
             del codes  # not live at the backward pass's memory peak
-            state = clusters.ClusterState(centers, assigned, config.k)
             # drop this epoch's trace before any other forward pass runs
             if config.batch_size is None or config.batch_size >= n:
                 grads = net.backward(

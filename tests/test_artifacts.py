@@ -76,7 +76,7 @@ def test_manifest_roundtrip(tmp_path):
     data_file = tmp_path / "d.csv"
     data_file.write_text("1,2\n3,4\n")
     spec = RunSpec(
-        data=str(data_file), format="csv", labels=None, normalize="minmax",
+        data=str(data_file), labels=None, normalize="minmax",
         mask_unlabeled=False, map_shape=None, dims=[2, 1], activation="tanh",
         dec_activation=None, config=TrainConfig(k=2),
     )

@@ -55,6 +55,17 @@ class TestSynth:
                   "--n-per-cluster", "10"])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-per-cluster", "0"), ("--dim", "0"), ("--noise-sigma", "nan"),
+        ("--separation", "inf"), ("--separation", "nan"),
+    ])
+    def test_unreadable_output_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                       flag, value):
+        out = tmp_path / "blobs.dcmx"
+        assert main(["synth", "--out", str(out), flag, value]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_end_to_end_writes_artifacts(self, blob_file, tmp_path, capsys):
@@ -148,6 +159,27 @@ class TestTrain:
         assert "5x5" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("name", ["x.csv", "x.bin"])
+    def test_dcmx_bytes_train_whatever_the_name(self, blob_file, tmp_path, name):
+        labels = ("--labels", str(blob_file.parent / "blobs.labels.csv"))
+        assert main(train_args(blob_file, tmp_path / "ref", *labels)) == 0
+        renamed = tmp_path / name
+        renamed.write_bytes(blob_file.read_bytes())
+        assert main(train_args(renamed, tmp_path / "run", *labels)) == 0
+        for artifact in ("epoch_log.csv", "labels.csv", "checkpoint.bin"):
+            assert (tmp_path / "ref" / artifact).read_bytes() == \
+                (tmp_path / "run" / artifact).read_bytes(), artifact
+
+    def test_csv_text_named_dcmx_trains_as_csv(self, tmp_path):
+        data = image_file(tmp_path)
+        renamed = tmp_path / "img.dcmx"  # the same companion img.labels.csv
+        renamed.write_text(data.read_text())
+        assert main(image_args(data, tmp_path / "ref")) == 0
+        assert main(image_args(renamed, tmp_path / "run")) == 0
+        for artifact in ("epoch_log.csv", "labels_full.csv", "checkpoint.bin"):
+            assert (tmp_path / "ref" / artifact).read_bytes() == \
+                (tmp_path / "run" / artifact).read_bytes(), artifact
+
 
 class TestReplay:
     def test_byte_identical_outputs(self, blob_file, tmp_path):
@@ -219,8 +251,8 @@ class TestReplayAnywhere:
         assert "img.labels.csv: fingerprint" in capsys.readouterr().err
         assert not copy.exists()
 
-    @pytest.mark.parametrize("edit",
-                             ["extra", "missing", "config", "value", "type", "nan"])
+    @pytest.mark.parametrize("edit", ["extra", "format", "missing", "config", "value",
+                                      "type", "nan"])
     def test_manifest_keys_checked(self, blob_file, tmp_path, capsys, edit):
         out = tmp_path / "run"
         assert main(train_args(blob_file, out)) == 0
@@ -228,6 +260,8 @@ class TestReplayAnywhere:
         record = json.loads(path.read_text())
         if edit == "extra":
             record["note"] = "hand-edited"
+        elif edit == "format":  # written before the first bytes chose the format
+            record["spec"]["format"] = None
         elif edit == "missing":
             del record["spec"]["normalize"]
         elif edit == "config":
@@ -240,8 +274,10 @@ class TestReplayAnywhere:
             record["spec"]["normalize"] = "l2"
         path.write_text(json.dumps(record))
         assert main(["replay", str(path), "--out-dir", str(tmp_path / "copy")]) == 2
+        assert not (tmp_path / "copy").exists()
         err = capsys.readouterr().err
-        expected = {"extra": "note", "missing": "normalize", "config": "momentum",
+        expected = {"extra": "note", "format": "unknown keys ['format']",
+                    "missing": "normalize", "config": "momentum",
                     "value": "'l2'", "type": "spec.config.k: expected int, got '3'",
                     "nan": "tol must be finite"}
         assert expected[edit] in err
@@ -268,6 +304,31 @@ class TestGradcheck:
         monkeypatch.setattr(autoencoder, "backward", flipped)
         assert main(["gradcheck"]) == 1
         assert " at W" in capsys.readouterr().out
+
+    def test_nan_gradient_detected_at_its_coordinate(self, monkeypatch, capsys):
+        exact = autoencoder.backward
+
+        def poisoned(*args, **kwargs):
+            grads = exact(*args, **kwargs)
+            grads.d_weights[1][0, 1] = np.nan
+            return grads
+
+        monkeypatch.setattr(autoencoder, "backward", poisoned)
+        assert main(["gradcheck"]) == 1
+        assert "max relative error nan at W2[0, 1]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--step", "0"), ("--step", "nan"), ("--step", "inf"),
+        ("--tolerance", "-0.5"), ("--tolerance", "nan"), ("--tolerance", "inf"),
+    ])
+    def test_bad_step_or_tolerance_exits_2_before_probing(self, monkeypatch, capsys,
+                                                          flag, value):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("gradcheck probed with a bad setting")
+
+        monkeypatch.setattr(autoencoder, "forward", no_probe)
+        assert main(["gradcheck", flag, value]) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -160,6 +160,26 @@ class TestCsv:
         assert np.array_equal(load_label_csv(path), [2, 0, 1])
 
 
+class TestFormatByFirstBytes:
+    @pytest.mark.parametrize("name", ["x.csv", "x.bin", "x"])
+    def test_dcmx_bytes_load_as_dcmx_whatever_the_name(self, tmp_path, name):
+        matrix = np.arange(6.0).reshape(3, 2)
+        path = tmp_path / name
+        path.write_bytes(dcmx_bytes(matrix))
+        assert np.array_equal(load(path).features, matrix)
+
+    def test_csv_text_named_dcmx_loads_as_csv(self, tmp_path):
+        path = tmp_path / "x.dcmx"
+        path.write_text("1,2\n3,4\n")
+        assert np.array_equal(load(path).features, [[1, 2], [3, 4]])
+
+    def test_binary_file_read_as_csv_names_file(self, tmp_path):
+        path = tmp_path / "x.dcmx"
+        path.write_bytes(b"DCMY" + bytes([0xCB]) * 9)
+        with pytest.raises(DataFormatError, match=r"x\.dcmx: not ASCII CSV text \(byte 0xcb\)"):
+            load(path)
+
+
 class TestNormalize:
     def test_minmax_column(self):
         ds = Dataset(np.array([[0.0], [5.0], [10.0]]))
@@ -189,7 +209,7 @@ class TestMaskUnlabeled:
         out = mask_unlabeled(ds)
         assert np.array_equal(out.features, [[2.0, 3.0], [6.0, 7.0]])
         assert np.array_equal(out.labels, [0, 1])
-        assert np.array_equal(out.mask, [1, 3])
+        assert np.array_equal(np.flatnonzero(out.mask), [1, 3])
 
     def test_no_zeros_keeps_rows(self):
         ds = Dataset(np.arange(6.0).reshape(3, 2), labels=np.array([4, 2, 4]))
@@ -211,9 +231,9 @@ class TestMaskUnlabeled:
                      labels=np.array([0, 2, 0, 1, 2]))
         out = mask_unlabeled(ds)
         predicted = np.array([1, 0, 1])
-        full = scatter_labels(predicted, out.mask, ds.n, sentinel=-1)
+        full = scatter_labels(predicted, out.mask, sentinel=-1)
         assert np.array_equal(full, [-1, 1, -1, 0, 1])
-        assert np.array_equal(full[out.mask], predicted)
+        assert np.array_equal(full[np.flatnonzero(out.mask)], predicted)
 
 
 class TestSynthBlobs:
@@ -246,6 +266,19 @@ class TestSynthBlobs:
     def test_infeasible_placement_errors(self):
         with pytest.raises(ValueError, match="could not place"):
             synth_blobs(1, 40, 1, 1.0, 0.1, seed=0)
+
+    @pytest.mark.parametrize("n_per_cluster, dim, separation, noise_sigma, message", [
+        (0, 10, 6.0, 1.0, "n_per_cluster, dim >= 1, got 0, 10"),
+        (5, 0, 6.0, 1.0, "n_per_cluster, dim >= 1, got 5, 0"),
+        (5, 10, float("inf"), 1.0, "separation must be positive and finite"),
+        (5, 10, float("nan"), 1.0, "separation must be positive and finite"),
+        (5, 10, 6.0, float("nan"), "noise sigma must be finite"),
+        (5, 10, 6.0, float("inf"), "noise sigma must be finite"),
+    ])
+    def test_rejects_unwritable_settings(self, n_per_cluster, dim, separation,
+                                         noise_sigma, message):
+        with pytest.raises(ValueError, match=message):
+            synth_blobs(n_per_cluster, 3, dim, separation, noise_sigma, seed=0)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -75,12 +76,24 @@ def test_keep_background_clusters_every_pixel(scene, tmp_path):
     assert len((out / "seed0" / "labels.csv").read_text().splitlines()) == 75
 
 
+def test_train_flags_forwarded_to_every_seed(scene, tmp_path):
+    out = tmp_path / "runs"
+    assert harness.main(harness_args(scene, out, "--tol", "1e-3", "--lambda2", "0.001",
+                                     "--epochs", "3")) == 0
+    for seed in (0, 1):
+        config = json.loads((out / f"seed{seed}" / "manifest.json").read_text())[
+            "spec"]["config"]
+        assert (config["tol"], config["lambda2"], config["max_epochs"], config["seed"],
+                config["lr"]) == (1e-3, 1e-3, 3, seed, 0.01)
+
+
 BAD_INPUT = {  # problem -> what stderr must say
     "nonempty out dir": "not an empty directory",
     "no labels": "labels are required",
     "missing data": "No such file or directory",
     "malformed data": "could not convert",
     "zero seeds": "--seeds must be at least 1",
+    "flag train rejects": "unrecognized arguments: --momentum 0.9",
 }
 
 
@@ -98,6 +111,8 @@ def test_bad_input_exits_2_before_training(scene, tmp_path, capsys, monkeypatch,
         args[1] = str(tmp_path / "nope.csv")
     elif problem == "malformed data":
         scene.write_text("1.0,2.0\nfoo,3.0\n")
+    elif problem == "flag train rejects":
+        args += ["--momentum", "0.9"]
     else:
         args += ["--seeds", "0"]
 

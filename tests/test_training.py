@@ -46,7 +46,7 @@ class TestLossTerms:
         trace = forward(params, batch)
         labels = init_indicator(7, 3, seed=12)
         centers = rng.normal(size=(2, 3))
-        state = ClusterState(centers, labels, 3)
+        state = ClusterState(centers, labels)
         total, j1, j2, j3 = loss_terms(params, trace, state, 0.3, 3e-4)
         o1, o2, o3 = scalar_loss_terms(params, trace, labels, centers, 0.3, 3e-4)
         assert j1 == pytest.approx(o1, abs=1e-10)
@@ -60,14 +60,14 @@ class TestLossTerms:
             w[:] = 0.0
         batch = np.zeros((3, 4))
         trace = forward(params, batch)
-        state = ClusterState(np.zeros((2, 2)), init_indicator(3, 2, 0), 2)
+        state = ClusterState(np.zeros((2, 2)), init_indicator(3, 2, 0))
         assert loss_terms(params, trace, state, 0.3, 3e-4) == (0.0, 0.0, 0.0, 0.0)
 
     def test_lambda1_zero_kills_j2(self):
         rng = np.random.default_rng(3)
         params = init([4, 2, 4], TANH, TANH, seed=3)
         trace = forward(params, rng.uniform(0, 1, size=(5, 4)))
-        state = ClusterState(rng.normal(size=(2, 2)), init_indicator(5, 2, 3), 2)
+        state = ClusterState(rng.normal(size=(2, 2)), init_indicator(5, 2, 3))
         _, _, j2, _ = loss_terms(params, trace, state, 0.0, 3e-4)
         assert j2 == 0.0
 
