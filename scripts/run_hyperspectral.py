@@ -3,11 +3,14 @@
 
 Expects a converted feature file (dcmx or csv, one row per pixel) plus a
 label file where class 0 marks unlabeled background.  Runs `dcidc train`
-once per seed, with the standard wide-network shapes, into the replayable
-run directory <out-dir>/seed<N>, and reports mean and standard deviation of
-the final accuracy and NMI.  Other flags (--lr, --epochs, ...) go unchanged
-to `dcidc train`.  Results depend heavily on the learning rate and epoch
-budget; treat them as a comparison harness, not a fixed target.
+once per seed into the replayable run directory <out-dir>/seed<N>, and
+reports mean and standard deviation of the final accuracy and NMI.  The
+harness reads only --data, --labels, --seeds, --keep-background and
+--out-dir; every other flag (--k, --dims, --lr, --epochs, ...) goes
+unchanged to `dcidc train`, which picks the standard wide network shape for
+the data's band count when --dims is omitted.  Results depend heavily on
+the learning rate and epoch budget; treat them as a comparison harness, not
+a fixed target.
 """
 
 import argparse
@@ -17,12 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from dcidc import cli
-from dcidc.data import load
-
-def default_dims(d: int, k: int) -> list[int]:
-    """Encoder widths incl. the input: the standard wide shapes by band count."""
-    known = {200: [200, 128, 64, 32], 100: [100, 72, 36, 25]}
-    return known.get(d, [d, max(d // 2, k), max(d // 4, k), max(d // 8, k)])
+from dcidc.data import labels_path
 
 
 def main(argv=None) -> int:
@@ -31,9 +29,6 @@ def main(argv=None) -> int:
     ap.add_argument("--data", required=True)
     ap.add_argument("--labels", default=None,
                     help="label csv; defaults to <data stem>.labels.csv")
-    ap.add_argument("--k", type=int, required=True)
-    ap.add_argument("--dims", default=None,
-                    help="encoder widths incl. input (default by band count)")
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--keep-background", action="store_true",
                     help="cluster all pixels instead of dropping class 0")
@@ -45,17 +40,10 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir)
     if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):
         ap.error(f"--out-dir {out_dir} exists and is not an empty directory")
-    try:
-        ds = load(args.data, labels_file=args.labels)
-    except (OSError, ValueError) as exc:  # DataFormatError too
-        ap.error(str(exc))
-    if ds.labels is None:
+    # a missing --data is left to seed 0's `dcidc train`, which names the file
+    if Path(args.data).exists() and labels_path(args.data, args.labels) is None:
         ap.error("ground-truth labels are required for this harness")
-    dims = args.dims or ",".join(map(str, default_dims(ds.dim, args.k)))
-    print(f"{ds.n} pixels ({np.count_nonzero(ds.labels)} labeled), {ds.dim} bands, "
-          f"k={args.k}, encoder dims={dims}")
-    del ds  # each seed's run loads the data itself
-    flags = ["--data", args.data, "--k", str(args.k), "--dims", dims]
+    flags = ["--data", args.data]
     flags += [] if args.labels is None else ["--labels", args.labels]
     flags += [] if args.keep_background else ["--mask-unlabeled"]
     flags += train_flags

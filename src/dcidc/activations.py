@@ -35,26 +35,6 @@ def parse_kind(name: str) -> ActivationKind:
         raise ValueError(f"unknown activation {name!r}; choose one of: {choices}")
 
 
-def _sigmoid(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # split on sign so exp never overflows; each half reads only entries of y
-    # it has not yet written, so out may be y itself
-    out = np.empty_like(y) if out is None else out
-    pos = y >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-    ey = np.exp(y[~pos])
-    out[~pos] = ey / (1.0 + ey)
-    return out
-
-
-def _softplus(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # for large y return y + log1p(exp(-y)) to avoid overflow; out may be y
-    out = np.empty_like(y) if out is None else out
-    pos = y > 0
-    out[pos] = y[pos] + np.log1p(np.exp(-y[pos]))
-    out[~pos] = np.log1p(np.exp(y[~pos]))
-    return out
-
-
 def apply(
     kind: ActivationKind, y: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -62,14 +42,20 @@ def apply(
     (which may be y itself) or, without out, into one fresh array."""
     if kind is ActivationKind.TANH:
         return np.tanh(y, out=out)
-    if kind is ActivationKind.SIGMOID:
-        return _sigmoid(y, out)
+    if kind is ActivationKind.SIGMOID:  # where(y >= 0, 1, e) / (1 + e), e = exp(-|y|)
+        e = np.abs(y)
+        np.exp(np.negative(e, out=e), out=e)
+        num = np.where(y >= 0, 1.0, e)
+        e += 1.0
+        return np.divide(num, e, out=num if out is None else out)
     if kind is ActivationKind.NSSIGMOID:
         den = np.abs(y)
         den += 1.0
         return np.divide(y, den, out=den if out is None else out)  # y / (1 + |y|)
-    if kind is ActivationKind.SOFTPLUS:
-        return _softplus(y, out)
+    if kind is ActivationKind.SOFTPLUS:  # log1p(exp(-|y|)) + max(y, 0)
+        t = np.abs(y)
+        np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
+        return np.add(t, np.maximum(y, 0.0), out=t if out is None else out)
     raise ValueError(f"unhandled activation kind {kind!r}")
 
 

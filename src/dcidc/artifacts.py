@@ -106,7 +106,7 @@ class RunSpec:
     normalize: str  # a key of NORMALIZE_MODES
     mask_unlabeled: bool
     map_shape: list[int] | None  # [height, width] of the unmasked image
-    dims: list[int]  # encoder widths incl. the input; the decoder mirrors them
+    dims: list[int] | None  # encoder widths incl. the input, None for default_dims
     activation: str
     dec_activation: str | None
     config: TrainConfig

@@ -93,6 +93,13 @@ def mirror_dims(encoder_dims: list[int]) -> list[int]:
     return list(encoder_dims) + list(reversed(encoder_dims[:-1]))
 
 
+def default_dims(d: int, k: int) -> list[int]:
+    """Encoder widths incl. the input: the standard wide shapes by band count.
+    A run given no dims trains these, so an edit here is an engine change."""
+    known = {200: [200, 128, 64, 32], 100: [100, 72, 36, 25]}
+    return known.get(d, [d, max(d // 2, k), max(d // 4, k), max(d // 8, k)])
+
+
 def validate_dims(dims: list[int]) -> None:
     m = len(dims) - 1
     if m < 2 or m % 2 != 0:

@@ -24,7 +24,7 @@ import numpy as np
 from . import artifacts as art
 from . import autoencoder as net
 from . import clusters, data, gradcheck, metrics
-from .activations import ActivationKind, parse_kind
+from .activations import DEFAULT_ACTIVATION, ActivationKind, parse_kind
 from .training import DivergenceError, TrainConfig, train
 
 KINDS = tuple(kind.value for kind in ActivationKind)
@@ -58,9 +58,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True,
                    help="feature file: dcmx if it begins with DCMX, else csv")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--dims", required=True,
-                   help="encoder widths incl. input, e.g. 10,6,2; decoder mirrors")
-    p.add_argument("--activation", default="tanh", choices=KINDS)
+    p.add_argument("--dims", help="encoder widths incl. input, e.g. 10,6,2 (default "
+                   "by band count); decoder mirrors")
+    p.add_argument("--activation", default=DEFAULT_ACTIVATION.value, choices=KINDS)
     p.add_argument("--dec-activation", default=None, choices=KINDS)
     p.add_argument("--lambda2", type=float, default=TrainConfig.lambda2)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
@@ -82,7 +82,7 @@ def _spec_from_args(args) -> art.RunSpec:
         normalize=args.normalize,
         mask_unlabeled=args.mask_unlabeled,
         map_shape=None if args.map_shape is None else _parse_map_shape(args.map_shape),
-        dims=_parse_dims(args.dims),
+        dims=None if args.dims is None else _parse_dims(args.dims),
         activation=args.activation,
         dec_activation=args.dec_activation,
         config=TrainConfig(
@@ -110,13 +110,14 @@ def _load_dataset(spec: art.RunSpec) -> data.Dataset:
 def _prepare(spec: art.RunSpec):
     """(dataset, mirrored dims, encoder and decoder activations) of a spec."""
     ds = _load_dataset(spec)
-    if spec.dims[0] != ds.dim:
+    dims = net.default_dims(ds.dim, spec.config.k) if spec.dims is None else spec.dims
+    if dims[0] != ds.dim:
         raise ValueError(
-            f"--dims starts at {spec.dims[0]} but the data has {ds.dim} features"
+            f"--dims starts at {dims[0]} but the data has {ds.dim} features"
         )
     enc = parse_kind(spec.activation)
     dec = enc if spec.dec_activation is None else parse_kind(spec.dec_activation)
-    return ds, net.mirror_dims(spec.dims), enc, dec
+    return ds, net.mirror_dims(dims), enc, dec
 
 
 def _run_training(spec: art.RunSpec, out_dir: Path) -> None:
@@ -202,16 +203,18 @@ def cmd_gradcheck(args) -> int:
         raise ValueError(f"--step must be finite and nonzero, got {args.step}")
     if not (np.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    config = TrainConfig(k=args.k, lambda1=args.lambda1, lambda2=args.lambda2,
+                         seed=args.seed)
     dims = net.mirror_dims(_parse_dims(args.dims))
     enc = parse_kind(args.activation)
     dec = enc if args.dec_activation is None else parse_kind(args.dec_activation)
-    rng = np.random.default_rng(args.seed)
-    params = net.init(dims, enc, dec, args.seed)
+    rng = np.random.default_rng(config.seed)
+    params = net.init(dims, enc, dec, config.seed)
     batch = rng.uniform(0.0, 1.0, size=(args.samples, dims[0]))
-    assignments = clusters.init_indicator(args.samples, args.k, args.seed)
-    centers = rng.normal(0.0, 0.5, size=(params.code_dim, args.k))
+    assignments = clusters.init_indicator(args.samples, config.k, config.seed)
+    centers = rng.normal(0.0, 0.5, size=(params.code_dim, config.k))
     worst, where, _, _ = gradcheck.check(
-        params, batch, assignments, centers, args.lambda1, args.lambda2, args.step
+        params, batch, assignments, centers, config.lambda1, config.lambda2, args.step
     )
     print(f"max relative error {worst:.3e} at {where} (tolerance {args.tolerance:g})")
     return 0 if worst <= args.tolerance else 1
@@ -286,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
     p.add_argument("--dims", default="5,3,2")
-    p.add_argument("--activation", default="tanh", choices=KINDS)
+    p.add_argument("--activation", default=DEFAULT_ACTIVATION.value, choices=KINDS)
     p.add_argument("--dec-activation", default=None, choices=KINDS)
     p.add_argument("--lambda1", type=float, default=TrainConfig.lambda1)
     p.add_argument("--lambda2", type=float, default=TrainConfig.lambda2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--samples", type=int, default=6)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--step", type=float, default=gradcheck.DEFAULT_STEP)

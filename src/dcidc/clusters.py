@@ -29,7 +29,7 @@ from .linalg import ShapeMismatchError, SingularMatrixError, frobenius_sq, solve
 from .seeding import substream
 
 
-class DegenerateCentersError(ValueError):
+class DegenerateCentersError(RuntimeError):
     """Centers too collapsed, or codes not finite, for the indicator solve."""
 
 

@@ -117,9 +117,30 @@ def test_apply_into_its_input_matches_fresh_result(kind, y):
     assert same_bits(inplace, fresh)
 
 
+def sigmoid_by_sign(y):
+    """The logistic sigmoid split on sign, so exp never overflows."""
+    out = np.empty_like(y)
+    pos = y >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
+    ey = np.exp(y[~pos])
+    out[~pos] = ey / (1.0 + ey)
+    return out
+
+
+def softplus_by_sign(y):
+    """Softplus split on sign: y + log1p(exp(-y)) above zero, so exp never overflows."""
+    out = np.empty_like(y)
+    pos = y > 0
+    out[pos] = y[pos] + np.log1p(np.exp(-y[pos]))
+    out[~pos] = np.log1p(np.exp(y[~pos]))
+    return out
+
+
 @pytest.mark.parametrize("kind, plain", [
     (ActivationKind.TANH, np.tanh),
     (ActivationKind.NSSIGMOID, lambda y: y / (1.0 + np.abs(y))),
+    (ActivationKind.SIGMOID, sigmoid_by_sign),
+    (ActivationKind.SOFTPLUS, softplus_by_sign),
 ])
 @given(pre_activations())
 @settings(max_examples=50, deadline=None)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from dcidc import __version__, autoencoder, cli
+from dcidc import __version__, autoencoder, cli, clusters
+from dcidc.artifacts import load_checkpoint
+from dcidc.autoencoder import default_dims, mirror_dims
 from dcidc.cli import main
 from dcidc.data import load_label_csv, save_label_csv
 
@@ -14,6 +16,14 @@ def blob_file(tmp_path):
     assert main(["synth", "--out", str(path), "--k", "3", "--dim", "6",
                  "--n-per-cluster", "30", "--separation", "8",
                  "--seed", "5"]) == 0
+    return path
+
+
+@pytest.fixture()
+def eight_band_file(tmp_path):
+    path = tmp_path / "bands.dcmx"
+    assert main(["synth", "--out", str(path), "--k", "3", "--dim", "8",
+                 "--n-per-cluster", "30", "--separation", "8", "--seed", "2"]) == 0
     return path
 
 
@@ -104,6 +114,29 @@ class TestTrain:
                      "--dims", "9,4,3", "--out-dir", str(tmp_path / "y")])
         assert code == 2
         assert "9" in capsys.readouterr().err
+
+    def test_without_dims_trains_the_standard_shape(self, eight_band_file, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(eight_band_file), "--k", "3",
+                     "--epochs", "20", "--out-dir", str(out)]) == 0
+        params, _ = load_checkpoint(out / "checkpoint.bin")
+        assert params.dims == mirror_dims(default_dims(8, 3)) == [8, 4, 3, 3, 3, 4, 8]
+        assert json.loads((out / "manifest.json").read_text())["spec"]["dims"] is None
+        copy = tmp_path / "copy"
+        assert main(["replay", str(out / "manifest.json"), "--out-dir", str(copy)]) == 0
+        for path in out.iterdir():
+            assert path.read_bytes() == (copy / path.name).read_bytes(), path.name
+
+    def test_collapsed_centers_exit_1_leaving_no_out_dir(self, blob_file, tmp_path,
+                                                          capsys, monkeypatch):
+        def collapsed(*args, **kwargs):
+            raise clusters.DegenerateCentersError("collapsed (injected)")
+
+        monkeypatch.setattr(clusters, "update_indicator", collapsed)
+        out = tmp_path / "run"
+        assert main(train_args(blob_file, out)) == 1
+        assert "collapsed (injected)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mask_and_map_artifacts(self, tmp_path):
         data = image_file(tmp_path)
@@ -317,10 +350,16 @@ class TestGradcheck:
         assert main(["gradcheck"]) == 1
         assert "max relative error nan at W2[0, 1]" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--step", "0"), ("--step", "nan"), ("--step", "inf"),
-        ("--tolerance", "-0.5"), ("--tolerance", "nan"), ("--tolerance", "inf"),
-    ])
+    BAD_SETTINGS = {  # (flag, value) -> what stderr must say
+        **{("--step", v): "--step must be finite" for v in ("0", "nan", "inf")},
+        **{("--tolerance", v): "--tolerance must be finite"
+           for v in ("-0.5", "nan", "inf")},
+        ("--lambda1", "nan"): "lambda1 must be finite",
+        ("--lambda1", "-1"): "trade-off weights must be >= 0",
+        ("--lambda2", "-0.5"): "trade-off weights must be >= 0",
+    }
+
+    @pytest.mark.parametrize("flag, value", BAD_SETTINGS)
     def test_bad_step_or_tolerance_exits_2_before_probing(self, monkeypatch, capsys,
                                                           flag, value):
         def no_probe(*args, **kwargs):
@@ -328,7 +367,7 @@ class TestGradcheck:
 
         monkeypatch.setattr(autoencoder, "forward", no_probe)
         assert main(["gradcheck", flag, value]) == 2
-        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert self.BAD_SETTINGS[flag, value] in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -359,6 +398,15 @@ class TestSweep:
         assert header == "lambda1,accuracy,nmi"
         run_dir = tmp_path / "ref"
         assert main(train_args(blob_file, run_dir)) == 0
+        final = (run_dir / "epoch_log.csv").read_text().splitlines()[-1].split(",")
+        assert row == f"0.3,{float(final[5]):.6f},{float(final[6]):.6f}"
+
+    def test_without_dims_matches_train(self, eight_band_file, tmp_path, capsys):
+        args = ["--data", str(eight_band_file), "--k", "3", "--epochs", "20"]
+        assert main(["sweep", *args, "--grid", "0.3"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        run_dir = tmp_path / "ref"
+        assert main(["train", *args, "--out-dir", str(run_dir)]) == 0
         final = (run_dir / "epoch_log.csv").read_text().splitlines()[-1].split(",")
         assert row == f"0.3,{float(final[5]):.6f},{float(final[6]):.6f}"
 

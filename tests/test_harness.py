@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcidc import autoencoder, cli
-from dcidc.autoencoder import mirror_dims
+from dcidc import autoencoder, cli, data
+from dcidc.autoencoder import default_dims, mirror_dims
 from dcidc.data import load, mask_unlabeled, normalize, save_label_csv, synth_blobs
 from dcidc.training import TrainConfig, train
 
@@ -48,7 +48,7 @@ def test_seeds_match_direct_train_and_replay(scene, tmp_path, capsys):
     assert harness.main(harness_args(scene, out)) == 0
     summary = capsys.readouterr().out.splitlines()[-1]
     ds = normalize(mask_unlabeled(load(scene)))
-    dims = mirror_dims(harness.default_dims(8, 3))
+    dims = mirror_dims(default_dims(8, 3))
     accs, nmis = [], []
     for seed in (0, 1):
         config = TrainConfig(k=3, lr=0.01, max_epochs=40, seed=seed)
@@ -66,6 +66,18 @@ def test_seeds_match_direct_train_and_replay(scene, tmp_path, capsys):
                 (copy / name).read_bytes(), name
     assert summary.startswith(f"accuracy {100 * np.mean(accs):.2f} +/- "
                               f"{100 * np.std(accs):.2f}   nmi {100 * np.mean(nmis):.2f}")
+
+
+def test_each_seed_parses_the_scene_once(scene, tmp_path, monkeypatch):
+    calls, parse = [], data.load_feature_csv
+
+    def counted(path):
+        calls.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(data, "load_feature_csv", counted)
+    assert harness.main(harness_args(scene, tmp_path / "runs", "--epochs", "2")) == 0
+    assert len(calls) == 2
 
 
 def test_keep_background_clusters_every_pixel(scene, tmp_path):
@@ -121,8 +133,12 @@ def test_bad_input_exits_2_before_training(scene, tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(cli, "train", no_training)
     monkeypatch.setattr(autoencoder, "init", no_training)
-    with pytest.raises(SystemExit) as exc:
-        harness.main(args)
-    assert exc.value.code == 2
+    # the harness's own checks exit through argparse; bad data is reported by
+    # seed 0's `dcidc train`, whose exit code the harness returns
+    try:
+        code = harness.main(args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     assert BAD_INPUT[problem] in capsys.readouterr().err
     assert not out.exists() or [p.name for p in out.iterdir()] == ["notes.txt"]
