@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .activations import parse_kind
-from .autoencoder import NetworkParams
-from .data import dcmx_bytes, labels_path, read_dcmx
+from .autoencoder import NetworkParams, mirror_dims, validate_dims
+from .data import DataFormatError, dcmx_bytes, labels_path, read_dcmx
 from .training import EpochReport, TrainConfig
 
 EPOCH_LOG_COLUMNS = tuple(f.name for f in fields(EpochReport))
@@ -57,17 +57,20 @@ def load_checkpoint(path) -> tuple[NetworkParams, int]:
     raw = Path(path).read_bytes()
     newline = raw.index(b"\n")
     header = json.loads(raw[:newline])
-    offset = newline + 1
-    weights, biases = [], []
-    for _ in range(len(header["dims"]) - 1):
-        w, offset = read_dcmx(raw, offset, str(path))
-        b, offset = read_dcmx(raw, offset, str(path))
-        weights.append(w)
-        biases.append(b.ravel())
+    offset, blocks = newline + 1, []
+    while offset < len(raw):
+        block, offset = read_dcmx(raw, offset, str(path))
+        blocks.append(block)
+    dims = header["dims"]
+    shapes = [s for i, o in zip(dims[:-1], dims[1:]) for s in ((o, i), (1, o))]
+    if [b.shape for b in blocks] != shapes:
+        raise DataFormatError(
+            f"{path}: blocks of shapes {[b.shape for b in blocks]} disagree with "
+            f"the header's dims {dims}"
+        )
     params = NetworkParams(
-        list(header["dims"]),
-        weights,
-        biases,
+        blocks[0::2],
+        [b.ravel() for b in blocks[1::2]],
         parse_kind(header["enc_activation"]),
         parse_kind(header["dec_activation"]),
     )
@@ -117,6 +120,12 @@ class RunSpec:
                 f"unknown normalize mode {self.normalize!r}; choose one of: "
                 + ", ".join(NORMALIZE_MODES)
             )
+        if self.dims is not None:
+            validate_dims(mirror_dims(self.dims))
+        if self.map_shape is not None and not (
+            len(self.map_shape) == 2 and min(self.map_shape) >= 1
+        ):
+            raise ValueError(f"--map-shape needs two positive sides, got {self.map_shape}")
         if self.map_shape is not None and not self.mask_unlabeled:
             raise ValueError("--map-shape needs --mask-unlabeled")
         if self.map_shape is not None and self.config.k > 255:

@@ -35,13 +35,17 @@ from .seeding import substream
 
 @dataclass
 class NetworkParams:
-    """Layer widths, weights, biases, and activation choices."""
+    """Weights, biases, and activation choices."""
 
-    dims: list[int]
     weights: list[np.ndarray]          # weights[i] maps layer i to layer i+1
     biases: list[np.ndarray]
     enc_activation: ActivationKind
     dec_activation: ActivationKind
+
+    @property
+    def dims(self) -> list[int]:
+        """Layer widths, the input first, read off the weight shapes."""
+        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     @property
     def num_layers(self) -> int:
@@ -106,21 +110,11 @@ def validate_dims(dims: list[int]) -> None:
         raise ValueError(f"layer count must be even and >= 2, got M={m}")
     if any(d < 1 for d in dims):
         raise ValueError(f"layer widths must be positive, got {dims}")
-    if dims[0] != dims[-1]:
-        raise ValueError(
-            f"input and output widths must match, got {dims[0]} vs {dims[-1]}"
-        )
-    half = m // 2
-    for i in range(1, half + 1):
-        if dims[i] > dims[i - 1]:
-            raise ValueError(
-                f"encoder widths must be non-increasing, got {dims[:half + 1]}"
-            )
-    for j in range(half + 1, m + 1):
-        if dims[j] < dims[j - 1]:
-            raise ValueError(
-                f"decoder widths must be non-decreasing, got {dims[half:]}"
-            )
+    encoder = dims[:m // 2 + 1]
+    if any(a < b for a, b in zip(encoder, encoder[1:])):
+        raise ValueError(f"encoder widths must be non-increasing, got {encoder}")
+    if list(dims) != mirror_dims(encoder):
+        raise ValueError(f"the decoder must mirror the encoder {encoder}, got {dims}")
 
 
 def init(
@@ -137,7 +131,7 @@ def init(
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return NetworkParams(list(dims), weights, biases, enc_activation, dec_activation)
+    return NetworkParams(weights, biases, enc_activation, dec_activation)
 
 
 def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:

@@ -45,12 +45,9 @@ def _parse_batch(text: str) -> int | None:
 
 def _parse_map_shape(text: str) -> list[int]:
     try:
-        h, w = (int(tok) for tok in text.lower().split("x"))
+        return [int(tok) for tok in text.lower().split("x")]
     except ValueError:
         raise ValueError(f"--map-shape expects HEIGHTxWIDTH, got {text!r}")
-    if h < 1 or w < 1:
-        raise ValueError(f"--map-shape needs positive sides, got {text!r}")
-    return [h, w]
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -98,19 +95,19 @@ def _spec_from_args(args) -> art.RunSpec:
     )
 
 
-def _load_dataset(spec: art.RunSpec) -> data.Dataset:
+def _prepare(spec: art.RunSpec):
+    """(dataset, mirrored dims, encoder and decoder activations) of a spec."""
     ds = data.load(spec.data, spec.labels)
     if spec.mask_unlabeled:
         ds = data.mask_unlabeled(ds)
     if spec.normalize != "none":
         ds = data.normalize(ds, art.NORMALIZE_MODES[spec.normalize])
-    return ds
-
-
-def _prepare(spec: art.RunSpec):
-    """(dataset, mirrored dims, encoder and decoder activations) of a spec."""
-    ds = _load_dataset(spec)
     dims = net.default_dims(ds.dim, spec.config.k) if spec.dims is None else spec.dims
+    if spec.dims is None and dims[1] > ds.dim:  # the defaults widen when k > d
+        raise ValueError(
+            f"--k {spec.config.k} is above the data's {ds.dim} bands, which the "
+            f"default widths cannot narrow from; give --dims"
+        )
     if dims[0] != ds.dim:
         raise ValueError(
             f"--dims starts at {dims[0]} but the data has {ds.dim} features"

@@ -8,8 +8,7 @@ center is the mean of its member codes.  Given the centers, each sample's
 label is recomputed by solving the normal equations of a least-squares fit
 of the code against the center columns and taking the largest coefficient
 (ties go to the lowest index).  Note this least-squares rule coincides with
-nearest-center assignment only when the centers are orthonormal;
-``assignment_disagreement`` reports how often the two rules differ.
+nearest-center assignment only when the centers are orthonormal.
 
 The centers, the assignment and the intra-class error are float64.  The
 assignment factors only the k x k matrix S^T S, solves once for the
@@ -141,12 +140,3 @@ def intra_class_error(
     np.subtract(codes, diff, out=diff)  # float32 codes widen per element
     return frobenius_sq(diff)
 
-
-def assignment_disagreement(codes: np.ndarray, centers: np.ndarray) -> int:
-    """Count samples where the least-squares rule and nearest-center disagree."""
-    by_ls = update_indicator(codes, centers)
-    # ||z - s||^2 less the ||z||^2 that all centers share: n x k, not n x d x k
-    wide = codes.astype(np.float64, copy=False)
-    dist_sq = (centers * centers).sum(axis=0) - 2.0 * (wide @ centers)
-    by_nearest = np.argmin(dist_sq, axis=1)
-    return int(np.sum(by_ls != by_nearest))

@@ -58,7 +58,7 @@ def dcmx_bytes(matrix: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(matrix, dtype="<f4").tobytes()
 
 
-def read_dcmx(raw: bytes, offset: int = 0, source: str = "<bytes>") -> tuple[np.ndarray, int]:
+def read_dcmx(raw: bytes, offset: int, source: str) -> tuple[np.ndarray, int]:
     """Decode one dcmx block from raw[offset:]; returns (matrix, next offset)."""
     if len(raw) - offset < _HEADER.size:
         raise DataFormatError(
@@ -223,14 +223,14 @@ def mask_unlabeled(dataset: Dataset) -> Dataset:
     )
 
 
-def scatter_labels(labels, mask, sentinel: int = -1) -> np.ndarray:
+def scatter_labels(labels, mask) -> np.ndarray:
     """Spread masked-subset labels back onto the original rows, given the
-    boolean row mask of mask_unlabeled."""
+    boolean row mask of mask_unlabeled; dropped rows get -1."""
     labels = np.asarray(labels)
     kept = np.count_nonzero(mask)
     if labels.size != kept:
         raise ValueError(f"{labels.size} labels for {kept} kept rows")
-    full = np.full(mask.size, sentinel, dtype=np.int64)
+    full = np.full(mask.size, -1, dtype=np.int64)
     full[mask] = labels
     return full
 

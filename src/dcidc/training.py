@@ -138,8 +138,8 @@ def train(
     prev_total = None
     flat_epochs = 0
     # Overflow and NaN are let through silently: every update is followed
-    # by a forward pass and the j_total check below, or by the indicator
-    # solve, so a non-finite value still ends the run as a divergence.
+    # by a forward pass and the j_total check below, so a non-finite value
+    # ends the run as a divergence before the indicator solve sees it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs + 1):
             trace = net.forward(params, data)
@@ -169,14 +169,7 @@ def train(
                 if flat_epochs >= CONVERGENCE_WINDOW:
                     break
             prev_total = j_total
-            try:
-                assigned = clusters.update_indicator(codes, centers)
-            except clusters.DegenerateCentersError:
-                # an exploding run can overflow the indicator solve before
-                # j_total itself goes non-finite; report that as divergence
-                if not np.all(np.isfinite(centers)):
-                    raise DivergenceError(epoch, float("inf"))
-                raise
+            assigned = clusters.update_indicator(codes, centers)
             del codes  # not live at the backward pass's memory peak
             # drop this epoch's trace before any other forward pass runs
             if config.batch_size is None or config.batch_size >= n:

@@ -18,6 +18,7 @@ from dcidc.artifacts import (
     write_pgm,
 )
 from dcidc.autoencoder import init
+from dcidc.data import DataFormatError
 from dcidc.training import EpochReport, TrainConfig
 
 
@@ -57,6 +58,20 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("header_dims", [[6, 4, 3, 4, 6], [6, 4, 6], [6, 4, 2, 4, 6, 4, 6]])
+def test_checkpoint_header_dims_must_match_blocks(tmp_path, header_dims):
+    params = init([6, 4, 2, 4, 6], ActivationKind.TANH, ActivationKind.TANH, seed=3)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, params, epoch=1)
+    raw = path.read_bytes()
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    header["dims"] = header_dims
+    path.write_bytes(json.dumps(header).encode("ascii") + raw[newline:])
+    with pytest.raises(DataFormatError, match="disagree with the header's dims"):
+        load_checkpoint(path)
+
+
 def test_write_pgm(tmp_path):
     path = tmp_path / "map.pgm"
     write_pgm(path, np.array([0, 1, 2, 255, 4, 5]), width=3, height=2)
@@ -88,6 +103,25 @@ def test_manifest_roundtrip(tmp_path):
     loaded = RunManifest.load(path)
     assert loaded == manifest
     assert loaded.data_sha256 == sha256_file(data_file)
+
+
+@pytest.mark.parametrize("edit", [{"dims": []}, {"dims": [2, 3]},
+                                  {"map_shape": [-1, -2]}, {"map_shape": [1, 1, 2]}])
+def test_manifest_spec_fields_checked_on_load(tmp_path, edit):
+    """A hand-edited spec fails as it loads, before any data is read."""
+    spec = RunSpec(
+        data=str(tmp_path / "absent.csv"), labels=None, normalize="minmax",
+        mask_unlabeled=True, map_shape=[1, 2], dims=[2, 1], activation="tanh",
+        dec_activation=None, config=TrainConfig(k=2),
+    )
+    manifest = RunManifest("0", spec, "0" * 64, None, {})
+    path = tmp_path / "manifest.json"
+    manifest.save(path)
+    record = json.loads(path.read_text())
+    record["spec"].update(edit)
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match="non-increasing|two positive sides|input width"):
+        RunManifest.load(path)
 
 
 def test_engine_version_matches_pyproject():

@@ -77,6 +77,7 @@ class TestInit:
 
     def test_deep_symmetric_shape_accepted(self):
         params = init([200, 128, 64, 32, 64, 128, 200], TANH, TANH, seed=0)
+        assert params.dims == [200, 128, 64, 32, 64, 128, 200]
         assert params.code_dim == 32
         assert [w.shape for w in params.weights][:3] == [(128, 200), (64, 128), (32, 64)]
 
@@ -89,7 +90,7 @@ class TestInit:
             validate_dims([4, 2])
 
     def test_input_output_width_must_match(self):
-        with pytest.raises(ValueError, match="match"):
+        with pytest.raises(ValueError, match="mirror"):
             validate_dims([4, 2, 3])
 
     def test_bias_zero_and_weights_bounded(self):

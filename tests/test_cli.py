@@ -127,6 +127,19 @@ class TestTrain:
         for path in out.iterdir():
             assert path.read_bytes() == (copy / path.name).read_bytes(), path.name
 
+    def test_k_above_band_count_without_dims_exits_2(self, eight_band_file, tmp_path,
+                                                     capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        assert main(["train", "--data", str(eight_band_file), "--k", "9",
+                     "--epochs", "1", "--out-dir", str(tmp_path / "wide")]) == 2
+        err = capsys.readouterr().err
+        assert "--k 9" in err and "8 bands" in err and "--dims" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["bands.dcmx", "bands.labels.csv"]
+
     def test_collapsed_centers_exit_1_leaving_no_out_dir(self, blob_file, tmp_path,
                                                           capsys, monkeypatch):
         def collapsed(*args, **kwargs):
@@ -285,7 +298,8 @@ class TestReplayAnywhere:
         assert not copy.exists()
 
     @pytest.mark.parametrize("edit", ["extra", "format", "missing", "config", "value",
-                                      "type", "nan"])
+                                      "type", "nan", "no_dims", "widening_dims",
+                                      "negative_map", "three_sided_map"])
     def test_manifest_keys_checked(self, blob_file, tmp_path, capsys, edit):
         out = tmp_path / "run"
         assert main(train_args(blob_file, out)) == 0
@@ -303,6 +317,14 @@ class TestReplayAnywhere:
             record["spec"]["config"]["k"] = "3"
         elif edit == "nan":
             record["spec"]["config"]["tol"] = float("nan")  # written as NaN
+        elif edit == "no_dims":
+            record["spec"]["dims"] = []
+        elif edit == "widening_dims":
+            record["spec"]["dims"] = [10, 12]
+        elif edit == "negative_map":
+            record["spec"]["map_shape"] = [-2, -3]
+        elif edit == "three_sided_map":
+            record["spec"]["map_shape"] = [2, 2, 2]
         else:
             record["spec"]["normalize"] = "l2"
         path.write_text(json.dumps(record))
@@ -312,7 +334,11 @@ class TestReplayAnywhere:
         expected = {"extra": "note", "format": "unknown keys ['format']",
                     "missing": "normalize", "config": "momentum",
                     "value": "'l2'", "type": "spec.config.k: expected int, got '3'",
-                    "nan": "tol must be finite"}
+                    "nan": "tol must be finite",
+                    "no_dims": "need at least an input width",
+                    "widening_dims": "encoder widths must be non-increasing",
+                    "negative_map": "two positive sides",
+                    "three_sided_map": "two positive sides"}
         assert expected[edit] in err
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,60 @@ def test_dcmx_random_bytes_rejected_property(tmp_path_factory, raw):
     except DataFormatError:
         return
     assert raw[:5] == b"DCMX\x01" and len(raw) == 13 + 4 * rows * cols
+
+
+finite_float64_matrices = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+blank_lines = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)
+
+
+def csv_lines(matrix, blanks):
+    """The rows of matrix as repr-written CSV lines, blanks[i] before row i;
+    also the 1-based line number of each row."""
+    lines, row_lines = [], []
+    for row, before in zip(matrix, blanks):
+        lines += before
+        lines.append(",".join(repr(float(v)) for v in row))
+        row_lines.append(len(lines))
+    return lines, row_lines
+
+
+@given(finite_float64_matrices, st.data())
+@settings(max_examples=60, deadline=None)
+def test_csv_roundtrip_bit_exact_property(tmp_path_factory, matrix, data):
+    blanks = [data.draw(blank_lines) for _ in matrix]
+    lines, _ = csv_lines(matrix, blanks)
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load(path).features
+    assert loaded.shape == matrix.shape
+    assert loaded.tobytes() == matrix.tobytes()  # signed zeros too
+
+
+@given(finite_float64_matrices, st.data())
+@settings(max_examples=60, deadline=None)
+def test_csv_bad_row_names_its_line_property(tmp_path_factory, matrix, data):
+    """A non-numeric token, or a row one column short after the first row,
+    fails naming the row's line, blank lines counted."""
+    blanks = [data.draw(blank_lines) for _ in matrix]
+    lines, row_lines = csv_lines(matrix, blanks)
+    rows, cols = matrix.shape
+    short = rows > 1 and cols > 1 and data.draw(st.booleans())
+    row = data.draw(st.integers(1 if short else 0, rows - 1))
+    tokens = lines[row_lines[row] - 1].split(",")
+    if short:
+        del tokens[data.draw(st.integers(0, cols - 1))]
+    else:
+        bad = data.draw(st.sampled_from(["oops", "1..2", "--1", "0x10", "1e", "1 2"]))
+        tokens[data.draw(st.integers(0, cols - 1))] = bad
+    lines[row_lines[row] - 1] = ",".join(tokens)
+    path = tmp_path_factory.mktemp("csv") / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"bad.csv:{row_lines[row]}:")):
+        load(path)
 
 
 class TestCsv:
@@ -231,7 +287,7 @@ class TestMaskUnlabeled:
                      labels=np.array([0, 2, 0, 1, 2]))
         out = mask_unlabeled(ds)
         predicted = np.array([1, 0, 1])
-        full = scatter_labels(predicted, out.mask, sentinel=-1)
+        full = scatter_labels(predicted, out.mask)
         assert np.array_equal(full, [-1, 1, -1, 0, 1])
         assert np.array_equal(full[np.flatnonzero(out.mask)], predicted)
 
