@@ -30,4 +30,4 @@ from .training import (
     train,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

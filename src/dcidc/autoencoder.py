@@ -134,11 +134,13 @@ def init(
     return NetworkParams(weights, biases, enc_activation, dec_activation)
 
 
-def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
+def forward(params: NetworkParams, batch: np.ndarray,
+            out: ForwardTrace | None = None) -> ForwardTrace:
     """Layer outputs for batch, computed in its float type (float64 for an
     integer batch); the weights and biases are cast to that type per call.
-    Each activation overwrites the layer's fresh pre-activation array; the
-    batch itself is never written."""
+    Each activation overwrites the layer's pre-activation array: a fresh
+    one, or with out (the trace of an earlier batch of the same shape and
+    type) that layer's array of out.  The batch itself is never written."""
     if batch.ndim != 2 or batch.shape[1] != params.dims[0]:
         raise ShapeMismatchError(
             f"forward: batch of shape {batch.shape} does not match input "
@@ -147,7 +149,8 @@ def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
     dtype = np.result_type(batch.dtype, np.float32)
     acts = [batch]
     for m, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
-        y = acts[-1] @ w.astype(dtype, copy=False).T
+        y = np.matmul(acts[-1], w.astype(dtype, copy=False).T,
+                      out=None if out is None else out.activations[m])
         y += b.astype(dtype, copy=False)
         acts.append(apply(params.layer_activation(m), y, out=y))
     return ForwardTrace(acts)

@@ -218,10 +218,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    predicted = data.load_label_csv(args.predicted)
-    truth = data.load_label_csv(args.truth)
-    print(f"accuracy {metrics.accuracy(predicted, truth):.6f}")
-    print(f"nmi {metrics.nmi(predicted, truth):.6f}")
+    table = metrics.contingency_table(
+        data.load_label_csv(args.predicted), data.load_label_csv(args.truth)
+    )
+    print(f"accuracy {metrics.accuracy(table):.6f}")
+    print(f"nmi {metrics.nmi(table):.6f}")
     return 0
 
 

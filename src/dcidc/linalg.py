@@ -1,15 +1,14 @@
 """Shared matrix kernels: a guarded SPD solve and the squared Frobenius norm.
 
-solve_spd is the Cholesky solve behind the assignment update; frobenius_sq
-is the squared norm in the loss terms.  Other matrix arithmetic is plain
-numpy on 2-D arrays, one row per sample.  Both kernels are
-deterministic: identical inputs give bit-identical outputs.
+solve_spd is the Cholesky solve behind the assignment update, on numpy's
+LAPACK alone; frobenius_sq is the squared norm in the loss terms.  Other
+matrix arithmetic is plain numpy on 2-D arrays, one row per sample.  Both
+kernels are deterministic: identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 RIDGE = 1e-8
 _PIVOT_RATIO = 1e-7  # smallest/largest Cholesky pivot considered healthy
@@ -21,6 +20,13 @@ class ShapeMismatchError(ValueError):
 
 class SingularMatrixError(ValueError):
     """System stayed numerically singular even after the ridge retry."""
+
+
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor; LinAlgError unless a is finite and positive definite."""
+    if not np.isfinite(a).all():  # LAPACK may factor NaN or inf without error
+        raise np.linalg.LinAlgError("non-finite entries")
+    return np.linalg.cholesky(a)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,30 +44,30 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"solve_spd: rhs has {b.shape[0]} rows, expected {a.shape[0]}"
         )
-    # scipy reports non-positive pivots as LinAlgError and non-finite
-    # entries as ValueError; neither shape reaches the caller raw.  A
-    # factorization that technically succeeds with a vanishing pivot is
-    # treated as near-singular too, otherwise it amplifies rounding noise
-    # instead of converging to the minimal-norm solution.
+    # cho_factor reports non-positive pivots and non-finite entries as
+    # LinAlgError, which never reaches the caller raw.  A factorization
+    # that technically succeeds with a vanishing pivot is treated as
+    # near-singular too, otherwise it amplifies rounding noise instead of
+    # converging to the minimal-norm solution.
     try:
-        factor = cho_factor(a, lower=True)
-        pivots = np.diag(factor[0])
+        factor = cho_factor(a)
+        pivots = np.diag(factor)
         if pivots.min() < _PIVOT_RATIO * pivots.max():
             raise np.linalg.LinAlgError("near-singular pivot")
-        x = cho_solve(factor, b)
-    except (np.linalg.LinAlgError, ValueError):
+    except np.linalg.LinAlgError:
         eps = RIDGE * max(1.0, float(np.abs(np.diag(a)).mean()))
         if not np.isfinite(eps):
             raise SingularMatrixError(
                 f"solve_spd: matrix of shape {a.shape} has non-finite diagonal"
             )
         try:
-            x = cho_solve(cho_factor(a + eps * np.eye(a.shape[0]), lower=True), b)
-        except (np.linalg.LinAlgError, ValueError) as exc:
+            factor = cho_factor(a + eps * np.eye(a.shape[0]))
+        except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"solve_spd: matrix of shape {a.shape} is singular even with "
                 f"ridge {eps:g}"
             ) from exc
+    x = np.linalg.solve(factor.T, np.linalg.solve(factor, b))  # L y = b, L^T x = y
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError(
             f"solve_spd: non-finite solution for matrix of shape {a.shape}"

@@ -134,6 +134,7 @@ def train(
     assigned = clusters.init_indicator(n, config.k, config.seed)
     shuffle_rng = substream(config.seed, "shuffle")
     centers = None
+    trace = None
     reports: list[EpochReport] = []
     prev_total = None
     flat_epochs = 0
@@ -142,7 +143,9 @@ def train(
     # ends the run as a divergence before the indicator solve sees it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs + 1):
-            trace = net.forward(params, data)
+            # full batch: written over the last trace, so no n-row array is
+            # freed to the heap top, trimmed and faulted in again each epoch
+            trace = net.forward(params, data, out=trace)
             codes = trace.code.astype(np.float64)  # widened once per epoch
             centers, reseeded = clusters.update_centers(
                 codes, assigned, config.k, centers
@@ -156,8 +159,9 @@ def train(
             report = EpochReport(epoch, j_total, j1, j2, j3,
                                  empty_cluster_events=len(reseeded))
             if labels is not None:
-                report.accuracy = metrics.accuracy(assigned, labels)
-                report.nmi = metrics.nmi(assigned, labels)
+                table = metrics.contingency_table(assigned, labels)
+                report.accuracy = metrics.accuracy(table)
+                report.nmi = metrics.nmi(table)
             reports.append(report)
             if on_epoch is not None:
                 on_epoch(report, params, state)
@@ -171,15 +175,13 @@ def train(
             prev_total = j_total
             assigned = clusters.update_indicator(codes, centers)
             del codes  # not live at the backward pass's memory peak
-            # drop this epoch's trace before any other forward pass runs
             if config.batch_size is None or config.batch_size >= n:
                 grads = net.backward(
                     params, trace, assigned, centers, config.lambda1, config.lambda2
                 )
-                del trace
                 net.apply_update(params, grads, config.lr)
             else:
-                del trace
+                trace = None  # dropped before any mini-batch forward runs
                 order = shuffle_rng.permutation(n)
                 for start in range(0, n, config.batch_size):
                     idx = order[start : start + config.batch_size]

@@ -15,7 +15,7 @@ from dcidc.autoencoder import backward, forward, init, mirror_dims
 from dcidc.cli import main as cli_main
 from dcidc.clusters import init_indicator, update_centers, update_indicator
 from dcidc.data import normalize, synth_blobs
-from dcidc.metrics import accuracy, nmi
+from dcidc.metrics import accuracy, contingency_table, nmi
 from dcidc.training import TrainConfig, train
 
 
@@ -242,8 +242,9 @@ def test_metric_oracles():
         k = int(rng.integers(1, 5))
         predicted = rng.integers(0, k, size=n).tolist()
         truth = rng.integers(0, int(rng.integers(1, 5)), size=n).tolist()
-        acc_exact += accuracy(predicted, truth) == enumerate_accuracy(predicted, truth)
-        nmi_close += abs(nmi(predicted, truth) - entropy_nmi(predicted, truth)) <= 1e-10
+        table = contingency_table(predicted, truth)
+        acc_exact += accuracy(table) == enumerate_accuracy(predicted, truth)
+        nmi_close += abs(nmi(table) - entropy_nmi(predicted, truth)) <= 1e-10
     report(
         "metric-oracles",
         acc_exact == 50 and nmi_close == 50,

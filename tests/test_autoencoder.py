@@ -143,6 +143,19 @@ class TestForward:
         assert all(np.array_equal(a, b)
                    for a, b in zip(t1.activations, t2.activations))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_trace_reused_bit_for_bit(self, dtype):
+        params, batch, *_ = random_instance(5, [6, 4, 2, 4, 6], 11, 2)
+        old = forward(params, batch.astype(dtype)[::-1].copy())
+        arrays = old.activations[1:]
+        batch = batch.astype(dtype)
+        reused = forward(params, batch, out=old)
+        fresh = forward(params, batch)
+        assert reused.activations[0] is batch
+        assert all(a is b for a, b in zip(reused.activations[1:], arrays))
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(reused.activations, fresh.activations))
+
 
 class TestBackward:
     def test_zero_at_perfect_reconstruction(self):

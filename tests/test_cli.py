@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,7 +257,7 @@ class TestReplay:
         assert main(train_args(blob_file, out)) == 0
         path = out / "manifest.json"
         record = json.loads(path.read_text())
-        record["engine_version"] = "0.0.9"
+        record["engine_version"] = "0.3.0"  # the engine of scipy's Cholesky
         path.write_text(json.dumps(record))
 
         def no_training(*args, **kwargs):
@@ -263,7 +267,7 @@ class TestReplay:
         copy = tmp_path / "copy"
         assert main(["replay", str(path), "--out-dir", str(copy)]) == 2
         err = capsys.readouterr().err
-        assert "0.0.9" in err and __version__ in err
+        assert "0.3.0" in err and __version__ in err
         assert not copy.exists()
 
 
@@ -481,3 +485,14 @@ class TestSweep:
         assert main(["sweep", "--data", str(blob_file), "--k", "3",
                      "--dims", "6,4,3", "--grid", "0.3,-1"]) == 2
         assert "lambda1" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is only the tests' oracle: a fresh process importing the CLI
+    must not load it (nor the second BLAS it brings)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, dcidc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

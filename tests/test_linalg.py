@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcidc import linalg
 from dcidc.linalg import ShapeMismatchError, SingularMatrixError, frobenius_sq, solve_spd
 
 
@@ -45,6 +46,34 @@ def test_solve_spd_ridge_handles_psd_singular():
     b = np.array([[2.0], [2.0]])
     x = solve_spd(a, b)
     assert np.allclose(a @ x, b, atol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_solve_spd_non_finite_matrix(bad, where):
+    # numpy's Cholesky alone can return NaN factors for such input
+    a = np.array([[2.0, 0.5], [0.5, 2.0]])
+    a[where] = a[where[::-1]] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.cho_factor(a)
+    with pytest.raises(SingularMatrixError):
+        solve_spd(a, np.ones((2, 1)))
+
+
+def test_solve_spd_factors_once_per_attempt(monkeypatch):
+    # ridge retries are counted as cho_factor calls beyond the first
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return factor(a)
+
+    factor = linalg.cho_factor
+    monkeypatch.setattr(linalg, "cho_factor", counted)
+    solve_spd(np.eye(2), np.ones((2, 1)))
+    assert len(calls) == 1
+    solve_spd(np.ones((2, 2)), np.full((2, 1), 2.0))
+    assert len(calls) == 3
 
 
 def test_frobenius_examples():

@@ -150,9 +150,9 @@ class TestTrain:
     def test_autoencoder_sees_float32_batches(self, monkeypatch, batch_size):
         seen = []
 
-        def spy(params, batch):
+        def spy(params, batch, out=None):
             seen.append(batch.dtype)
-            return forward(params, batch)
+            return forward(params, batch, out=out)
 
         monkeypatch.setattr(autoencoder, "forward", spy)
         ds = small_blobs(5)
@@ -163,6 +163,21 @@ class TestTrain:
         assert set(seen) == {np.dtype(np.float32)}
         assert {a.dtype for a in params.weights + params.biases} == {np.dtype(np.float64)}
         assert state.centers.dtype == np.float64
+
+    def test_full_batch_forward_reuses_last_trace(self, monkeypatch):
+        # the epoch's n-row arrays are written again, not freed and refaulted
+        traces, given = [], []
+
+        def spy(params, batch, out=None):
+            given.append(out)
+            traces.append(forward(params, batch, out=out))
+            return traces[-1]
+
+        monkeypatch.setattr(autoencoder, "forward", spy)
+        cfg = TrainConfig(k=3, max_epochs=3, seed=5)
+        train(small_blobs(5).features, cfg, mirror_dims([5, 4, 3]))
+        assert len(given) == 4 and given[0] is None
+        assert all(out is trace for out, trace in zip(given[1:], traces))
 
     def test_loss_drops_in_first_epochs_across_seeds(self):
         wins = 0
