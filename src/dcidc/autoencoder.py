@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationKind, apply, derivative
-from .linalg import ShapeMismatchError
+from .linalg import ShapeMismatchError, column_sums
 from .seeding import substream
 
 
@@ -187,8 +187,10 @@ def constraint_deltas(
             f"constraint_deltas: centers {centers.shape} do not match code "
             f"width {params.code_dim}"
         )
-    code, dtype = trace.code, trace.code.dtype
-    delta = code - centers.T.astype(dtype)[assignments]
+    code = trace.code
+    rows = np.ascontiguousarray(centers.T, dtype=code.dtype)  # one row per cluster
+    delta = np.take(rows, assignments, axis=0)
+    np.subtract(code, delta, out=delta)
     delta *= derivative(params.enc_activation, code)
     return delta
 
@@ -225,7 +227,7 @@ def backward(
         if m == m_total // 2 and constraint is not None:
             delta += lambda1 * constraint
         d_weights.append(delta.T @ z[m - 1] + lambda2 * params.weights[m - 1])
-        d_biases.append(delta.sum(axis=0) + lambda2 * params.biases[m - 1])
+        d_biases.append(column_sums(delta) + lambda2 * params.biases[m - 1])
         if m > 1:
             delta = delta @ params.weights[m - 1].astype(delta.dtype, copy=False)
             delta *= derivative(params.layer_activation(m - 1), z[m - 1])

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeMismatchError, SingularMatrixError, frobenius_sq, solve_spd
+from .linalg import (
+    ShapeMismatchError,
+    SingularMatrixError,
+    column_sums,
+    frobenius_sq,
+    solve_spd,
+)
 from .seeding import substream
 
 
@@ -73,8 +79,8 @@ def update_centers(
     centers = np.zeros((codes.shape[1], k))
     reseeded = []
     for i in range(k):
-        members = labels == i
-        count = int(members.sum())
+        members = np.flatnonzero(labels == i)
+        count = members.size
         if count == 0:
             if prev_centers is not None:
                 reference = prev_centers[:, i]
@@ -84,7 +90,8 @@ def update_centers(
             centers[:, i] = codes[int(np.argmax(dist_sq))]
             reseeded.append(i)
         else:
-            centers[:, i] = codes[members].astype(np.float64, copy=False).sum(axis=0) / count
+            rows = np.take(codes, members, axis=0).astype(np.float64, copy=False)
+            centers[:, i] = column_sums(rows) / count
     return centers, reseeded
 
 
@@ -136,7 +143,7 @@ def intra_class_error(
             f"intra_class_error: code width {codes.shape[1]} vs center "
             f"dimension {centers.shape[0]}"
         )
-    diff = np.ascontiguousarray(centers.T, dtype=np.float64)[labels]
+    diff = np.take(np.ascontiguousarray(centers.T, dtype=np.float64), labels, axis=0)
     np.subtract(codes, diff, out=diff)  # float32 codes widen per element
     return frobenius_sq(diff)
 

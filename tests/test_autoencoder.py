@@ -215,7 +215,16 @@ class TestBackward:
                 backward(params, trace, wrong, centers, 0.3, 0.0)
 
     def test_lambda1_zero_equals_plain_autoencoder(self):
-        params, batch, _, _ = random_instance(7, [6, 4, 2, 4, 6], 8, 3)
+        self._assert_equals_plain_autoencoder([6, 4, 2, 4, 6], 8)
+
+    # a width-1 code takes column_sums' one-column branch, 16-wide rows its
+    # row-order branch; a few thousand rows tell either from another order
+    @pytest.mark.parametrize("dims", [[3, 2, 1, 2, 3], [16, 16, 16]])
+    def test_lambda1_zero_equals_plain_autoencoder_on_long_batches(self, dims):
+        self._assert_equals_plain_autoencoder(dims, 3000)
+
+    def _assert_equals_plain_autoencoder(self, dims, n):
+        params, batch, _, _ = random_instance(7, dims, n, 3)
         trace = forward(params, batch)
         got = backward(params, trace, None, None, 0.0, 3e-4)
         want = self._plain_autoencoder_gradients(params, batch, 3e-4)

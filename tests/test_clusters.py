@@ -238,6 +238,10 @@ def test_float32_centers_equal_widened_centers(seed):
     wide, wide_reseeded = update_centers(codes.astype(np.float64), labels, k)
     assert narrow.dtype == np.float64
     assert np.array_equal(narrow, wide) and narrow_reseeded == wide_reseeded
+    for i in set(range(k)) - set(narrow_reseeded):  # the mask-loop oracle
+        members = codes[labels == i]
+        want = members.astype(np.float64).sum(axis=0) / len(members)
+        assert narrow[:, i].tobytes() == want.tobytes()
 
 
 @given(labeled_codes())

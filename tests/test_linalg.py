@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcidc import linalg
-from dcidc.linalg import ShapeMismatchError, SingularMatrixError, frobenius_sq, solve_spd
+from dcidc.linalg import (
+    ShapeMismatchError,
+    SingularMatrixError,
+    column_sums,
+    frobenius_sq,
+    solve_spd,
+)
 
 
 def test_solve_spd_identity():
@@ -85,6 +91,29 @@ def test_frobenius_accumulates_float32_in_float64():
     # float32 accumulation drops every 0.0625 once the sum reaches 2**24
     a = np.array([4096.0] + [0.25] * 100000, dtype=np.float32)
     assert frobenius_sq(a) == 4096.0**2 + 100000 / 16
+
+
+def random_rows(seed, rows, cols, dtype):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((rows, cols)) * 10 ** rng.uniform(-3, 3)).astype(dtype)
+
+
+@given(st.integers(0, 3000), st.integers(1, 260),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_column_sums_equal_sum_bit_for_bit(rows, cols, dtype, seed):
+    a = random_rows(seed, rows, cols, dtype)
+    got = column_sums(a)
+    assert got.dtype == a.dtype
+    assert got.tobytes() == a.sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3000, 1), (1, 1), (0, 1), (112500, 16)])
+def test_column_sums_one_column_and_scene_shape(shape, dtype):
+    # a single column is summed pairwise by a.sum, which row order does not match
+    a = random_rows(11, *shape, dtype)
+    assert column_sums(a).tobytes() == a.sum(axis=0).tobytes()
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcidc import autoencoder
+from dcidc import autoencoder, clusters
 from dcidc.activations import ActivationKind
 from dcidc.autoencoder import forward, init, mirror_dims
 from dcidc.clusters import ClusterState, init_indicator
@@ -178,6 +178,29 @@ class TestTrain:
         train(small_blobs(5).features, cfg, mirror_dims([5, 4, 3]))
         assert len(given) == 4 and given[0] is None
         assert all(out is trace for out, trace in zip(given[1:], traces))
+
+    @pytest.mark.parametrize("batch_size", [None, 256])
+    def test_column_sums_leave_train_byte_identical(self, monkeypatch, batch_size):
+        ds = normalize(synth_blobs(1000, 3, 10, 6.0, 1.0, seed=6))
+        cfg = TrainConfig(k=3, max_epochs=20, seed=6, batch_size=batch_size)
+        dims = mirror_dims([10, 8, 6])
+        fast = train(ds.features, cfg, dims, labels=ds.labels)
+        summed = []
+
+        def plain_sums(a):
+            summed.append(a.shape)
+            return a.sum(axis=0)
+
+        for module in (autoencoder, clusters):
+            monkeypatch.setattr(module, "column_sums", plain_sums)
+        plain = train(ds.features, cfg, dims, labels=ds.labels)
+        assert (256 if batch_size else 3000) in {shape[0] for shape in summed}
+
+        def run_bytes(params, state, reports):
+            arrays = params.weights + params.biases + [state.centers, state.indicator]
+            return [a.tobytes() for a in arrays], repr(reports)
+
+        assert run_bytes(*fast) == run_bytes(*plain)
 
     def test_loss_drops_in_first_epochs_across_seeds(self):
         wins = 0
