@@ -16,7 +16,7 @@ import os
 import shutil
 import sys
 import uuid
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,36 +34,42 @@ def _parse_dims(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise ValueError(f"--dims expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}") from None
 
 
 def _parse_batch(text: str) -> int | None:
-    if text == "full":
-        return None
-    return int(text)
+    try:
+        return None if text == "full" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects a mini-batch size or 'full', got {text!r}") from None
 
 
 def _parse_map_shape(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.lower().split("x")]
     except ValueError:
-        raise ValueError(f"--map-shape expects HEIGHTxWIDTH, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects HEIGHTxWIDTH, got {text!r}") from None
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """Flags shared by train and sweep; each one is a RunSpec field."""
+    """Flags shared by train and sweep; each one's dest names a RunSpec or
+    TrainConfig field, and its type parses the field's value."""
     p.add_argument("--data", required=True,
                    help="feature file: dcmx if it begins with DCMX, else csv")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--dims", help="encoder widths incl. input, e.g. 10,6,2 (default "
-                   "by band count); decoder mirrors")
+    p.add_argument("--dims", type=_parse_dims, help="encoder widths incl. input, e.g. "
+                   "10,6,2 (default by band count); decoder mirrors")
     p.add_argument("--activation", default=DEFAULT_ACTIVATION.value, choices=KINDS)
     p.add_argument("--dec-activation", default=None, choices=KINDS)
     p.add_argument("--lambda2", type=float, default=TrainConfig.lambda2)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--epochs", dest="max_epochs", type=int,
+                   default=TrainConfig.max_epochs)
     p.add_argument("--tol", type=float, default=TrainConfig.tol)
-    p.add_argument("--batch", default="full", help="mini-batch size or 'full'")
+    p.add_argument("--batch", dest="batch_size", type=_parse_batch,
+                   default=TrainConfig.batch_size, help="mini-batch size or 'full'")
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--labels", default=None,
                    help="label csv (defaults to <data stem>.labels.csv if present)")
@@ -73,26 +79,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args) -> art.RunSpec:
-    return art.RunSpec(
-        data=args.data,
-        labels=args.labels,
-        normalize=args.normalize,
-        mask_unlabeled=args.mask_unlabeled,
-        map_shape=None if args.map_shape is None else _parse_map_shape(args.map_shape),
-        dims=None if args.dims is None else _parse_dims(args.dims),
-        activation=args.activation,
-        dec_activation=args.dec_activation,
-        config=TrainConfig(
-            k=args.k,
-            lambda1=args.lambda1,
-            lambda2=args.lambda2,
-            lr=args.lr,
-            max_epochs=args.epochs,
-            tol=args.tol,
-            seed=args.seed,
-            batch_size=_parse_batch(args.batch),
-        ),
-    )
+    flags = dict(vars(args))
+    flags["config"] = TrainConfig(**{f.name: flags[f.name] for f in fields(TrainConfig)})
+    return art.RunSpec(**{f.name: flags[f.name] for f in fields(art.RunSpec)})
 
 
 def _prepare(spec: art.RunSpec):
@@ -202,7 +191,7 @@ def cmd_gradcheck(args) -> int:
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     config = TrainConfig(k=args.k, lambda1=args.lambda1, lambda2=args.lambda2,
                          seed=args.seed)
-    dims = net.mirror_dims(_parse_dims(args.dims))
+    dims = net.mirror_dims(args.dims)
     enc = parse_kind(args.activation)
     dec = enc if args.dec_activation is None else parse_kind(args.dec_activation)
     rng = np.random.default_rng(config.seed)
@@ -275,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.add_argument("--lambda1", type=float, default=TrainConfig.lambda1)
     p.add_argument("--out-dir", default="dcidc-out")
-    p.add_argument("--map-shape", default=None,
+    p.add_argument("--map-shape", type=_parse_map_shape, default=None,
                    help="HEIGHTxWIDTH of the unmasked image, enables PGM label map;"
                         " needs --mask-unlabeled")
     p.set_defaults(func=cmd_train)
@@ -286,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
-    p.add_argument("--dims", default="5,3,2")
+    p.add_argument("--dims", type=_parse_dims, default="5,3,2")
     p.add_argument("--activation", default=DEFAULT_ACTIVATION.value, choices=KINDS)
     p.add_argument("--dec-activation", default=None, choices=KINDS)
     p.add_argument("--lambda1", type=float, default=TrainConfig.lambda1)

@@ -68,8 +68,9 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if self.tol <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        for name in ("max_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
 

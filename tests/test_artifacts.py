@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcidc import __version__
 from dcidc.activations import ActivationKind
 from dcidc.artifacts import (
     EPOCH_LOG_HEADER,
@@ -125,7 +124,10 @@ def test_manifest_spec_fields_checked_on_load(tmp_path, edit):
 
 
 def test_engine_version_matches_pyproject():
-    # a regex, not tomllib, which Python 3.10 lacks
+    # pyproject.toml takes the package version from dcidc.__version__, so the
+    # two cannot differ; a regex, not tomllib, which Python 3.10 lacks
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
-    assert match is not None and match.group(1) == __version__
+    assert re.search(r'^dynamic = \["version"\]$', text, re.MULTILINE)
+    assert re.search(r'^\[tool\.setuptools\.dynamic\]\n'
+                     r'version = \{attr = "dcidc\.__version__"\}', text, re.MULTILINE)
+    assert not re.search(r'^version\s*=\s*"', text, re.MULTILINE)  # no second copy

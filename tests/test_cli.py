@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcidc import __version__, autoencoder, cli, clusters
+from dcidc import __version__, autoencoder, cli, clusters, data
 from dcidc.artifacts import load_checkpoint
 from dcidc.autoencoder import default_dims, mirror_dims
 from dcidc.cli import main
@@ -111,6 +111,20 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(train_args(blob_file, out, flag, value)) == 2
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--dims", "abc"), ("train", "--batch", "abc"),
+        ("train", "--map-shape", "3by4"), ("gradcheck", "--dims", "5,x"),
+    ])
+    def test_malformed_flag_text_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                                          command, flag, value):
+        out = tmp_path / "run"
+        args = image_args(image_file(tmp_path), out) if command == "train" else [command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: expects" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dims_must_match_data(self, blob_file, tmp_path, capsys):
@@ -241,6 +255,17 @@ class TestReplay:
         for name in ("epoch_log.csv", "labels.csv", "labels.dcmx"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_minibatch_run_replays_byte_identical(self, blob_file, tmp_path):
+        first = tmp_path / "run1"
+        assert main(train_args(blob_file, first, "--batch", "32")) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["spec"]["config"]["batch_size"] == 32
+        second = tmp_path / "run2"
+        assert main(["replay", str(first / "manifest.json"),
+                     "--out-dir", str(second)]) == 0
+        for name in ("epoch_log.csv", "labels.csv", "labels.dcmx"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
     def test_fingerprint_mismatch_exits_2(self, blob_file, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(train_args(blob_file, out)) == 0
@@ -303,7 +328,7 @@ class TestReplayAnywhere:
 
     @pytest.mark.parametrize("edit", ["extra", "format", "missing", "config", "value",
                                       "type", "nan", "no_dims", "widening_dims",
-                                      "negative_map", "three_sided_map"])
+                                      "negative_map", "three_sided_map", "list"])
     def test_manifest_keys_checked(self, blob_file, tmp_path, capsys, edit):
         out = tmp_path / "run"
         assert main(train_args(blob_file, out)) == 0
@@ -329,6 +354,8 @@ class TestReplayAnywhere:
             record["spec"]["map_shape"] = [-2, -3]
         elif edit == "three_sided_map":
             record["spec"]["map_shape"] = [2, 2, 2]
+        elif edit == "list":
+            record = [record]
         else:
             record["spec"]["normalize"] = "l2"
         path.write_text(json.dumps(record))
@@ -342,7 +369,8 @@ class TestReplayAnywhere:
                     "no_dims": "need at least an input width",
                     "widening_dims": "encoder widths must be non-increasing",
                     "negative_map": "two positive sides",
-                    "three_sided_map": "two positive sides"}
+                    "three_sided_map": "two positive sides",
+                    "list": "expected an object, got list"}
         assert expected[edit] in err
 
 
@@ -485,6 +513,47 @@ class TestSweep:
         assert main(["sweep", "--data", str(blob_file), "--k", "3",
                      "--dims", "6,4,3", "--grid", "0.3,-1"]) == 2
         assert "lambda1" in capsys.readouterr().err
+
+
+def untouched(*args, **kwargs):
+    raise AssertionError("called after a bad setting")
+
+
+OUT_OF_RANGE = {  # flag -> (bad value, what stderr must say)
+    "--seed": ("-1", "seed must be >= 0, got -1"),
+    "--k": ("0", "k must be >= 1, got 0"),
+    "--epochs": ("-1", "max_epochs must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--seed"), ("sweep", "--seed"), ("replay", "--seed"),
+    ("gradcheck", "--seed"), ("train", "--k"), ("train", "--epochs"),
+])
+def test_out_of_range_config_exits_2_before_reading_data(blob_file, tmp_path, capsys,
+                                                         monkeypatch, command, flag):
+    value, message = OUT_OF_RANGE[flag]
+    run_flags = ["--data", str(blob_file), "--k", "3", "--dims", "6,4,3",
+                 "--epochs", "5"]
+    if command == "replay":
+        assert main(["train", *run_flags, "--out-dir", str(tmp_path / "run")]) == 0
+        path = tmp_path / "run" / "manifest.json"
+        record = json.loads(path.read_text())
+        record["spec"]["config"][flag[2:]] = int(value)
+        path.write_text(json.dumps(record))
+        argv = ["replay", str(path), "--out-dir", str(tmp_path / "copy")]
+    elif command == "train":
+        argv = ["train", *run_flags, flag, value, "--out-dir", str(tmp_path / "copy")]
+    elif command == "sweep":
+        argv = ["sweep", *run_flags, flag, value, "--grid", "0.3"]
+    else:
+        argv = ["gradcheck", flag, value]
+    monkeypatch.setattr(data, "load", untouched)
+    monkeypatch.setattr(autoencoder, "init", untouched)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_cli_import_loads_no_scipy():

@@ -216,6 +216,30 @@ class TestCsv:
         assert np.array_equal(load_label_csv(path), [2, 0, 1])
 
 
+@pytest.mark.parametrize("case", ["dcmx_version_2", "empty_csv", "label_not_integer",
+                                  "dcmx_nan"])
+def test_malformed_input_rejected_naming_file(tmp_path, case):
+    path = tmp_path / "f.dcmx"
+    if case == "dcmx_version_2":
+        raw = bytearray(dcmx_bytes(np.ones((2, 2))))
+        raw[4] = 2  # the version byte follows the 4 magic bytes
+        path.write_bytes(bytes(raw))
+        expected = "f.dcmx: unsupported dcmx version 2"
+    elif case == "empty_csv":
+        path = tmp_path / "f.csv"
+        path.write_text("")
+        expected = "f.csv: no data rows"
+    elif case == "label_not_integer":
+        save_dcmx(path, np.ones((2, 2)))
+        companion_label_path(path).write_text("0\n1.5\n")
+        expected = "f.labels.csv:2: "
+    else:
+        save_dcmx(path, np.array([[1.0, np.nan]]))
+        expected = "f.dcmx: non-finite feature values"
+    with pytest.raises(DataFormatError, match=re.escape(expected)):
+        load(path)
+
+
 class TestFormatByFirstBytes:
     @pytest.mark.parametrize("name", ["x.csv", "x.bin", "x"])
     def test_dcmx_bytes_load_as_dcmx_whatever_the_name(self, tmp_path, name):
