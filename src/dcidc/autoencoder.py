@@ -11,8 +11,11 @@ Gradients of the joint loss (reconstruction + weighted intra-class distance
 of the codes + L2 regularizer) are computed by one backward pass from layer
 M down to layer 1, started by the reconstruction signal at the output.  The
 loss is linear in its two error signals, so the cluster constraint's signal
-joins the running one at the code layer.  Activation derivatives are taken
-from layer outputs, so a forward trace keeps only those.  Cluster
+joins the running one at the code layer, formed only when the pass gets
+there.  Activation derivatives are taken from layer outputs, so a forward
+trace keeps only those, and each one scales its signal one row block at a
+time (``linalg.row_blocks``): a pass holds at most two batch-sized signal
+arrays, never a batch-sized derivative.  Cluster
 assignments and centers are constants here, updated elsewhere in closed form.
 
 Parameters are float64 master weights.  A pass computes in the float type of
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationKind, apply, derivative
-from .linalg import ShapeMismatchError, column_sums
+from .linalg import ShapeMismatchError, column_sums, row_blocks
 from .seeding import substream
 
 
@@ -156,12 +159,21 @@ def forward(params: NetworkParams, batch: np.ndarray,
     return ForwardTrace(acts)
 
 
+def _times_derivative(delta: np.ndarray, kind: ActivationKind,
+                      z: np.ndarray) -> np.ndarray:
+    """delta *= derivative(kind, z) in place, one row block at a time: the
+    product is elementwise, so the bits are those of the whole-array form."""
+    for rows in row_blocks(delta.shape[0], delta.shape[1] * delta.itemsize):
+        block = delta[rows]
+        block *= derivative(kind, z[rows])
+    return delta
+
+
 def reconstruction_deltas(params: NetworkParams, trace: ForwardTrace) -> np.ndarray:
     """Backward signal of the reconstruction error at the output layer, N x dims[M]."""
     x, out = trace.activations[0], trace.reconstruction
     delta = np.subtract(out, x)  # -(x - out), up to the sign of exact zeros
-    delta *= derivative(params.layer_activation(params.num_layers), out)
-    return delta
+    return _times_derivative(delta, params.layer_activation(params.num_layers), out)
 
 
 def constraint_deltas(
@@ -191,8 +203,7 @@ def constraint_deltas(
     rows = np.ascontiguousarray(centers.T, dtype=code.dtype)  # one row per cluster
     delta = np.take(rows, assignments, axis=0)
     np.subtract(code, delta, out=delta)
-    delta *= derivative(params.enc_activation, code)
-    return delta
+    return _times_derivative(delta, params.enc_activation, code)
 
 
 def backward(
@@ -212,25 +223,26 @@ def backward(
     assignments holds one cluster label per batch row.  With lambda1 == 0
     the constraint term is skipped entirely and assignments/centers may be
     None.  Each layer's gradients are formed as soon as its delta is known;
-    only the current delta is kept.
+    only the current delta is kept, and the constraint's signal only while
+    it is added at the code layer.
     """
     m_total = params.num_layers
-    constraint = None
-    if lambda1 != 0.0:
-        if assignments is None or centers is None:
-            raise ValueError("backward: lambda1 != 0 requires assignments and centers")
-        constraint = constraint_deltas(params, trace, assignments, centers)
+    if lambda1 != 0.0 and (assignments is None or centers is None):
+        raise ValueError("backward: lambda1 != 0 requires assignments and centers")
     z = trace.activations
     d_weights, d_biases = [], []
     delta = reconstruction_deltas(params, trace)
     for m in range(m_total, 0, -1):
-        if m == m_total // 2 and constraint is not None:
-            delta += lambda1 * constraint
+        if m == m_total // 2 and lambda1 != 0.0:
+            constraint = constraint_deltas(params, trace, assignments, centers)
+            constraint *= lambda1
+            delta += constraint
+            del constraint
         d_weights.append(delta.T @ z[m - 1] + lambda2 * params.weights[m - 1])
         d_biases.append(column_sums(delta) + lambda2 * params.biases[m - 1])
         if m > 1:
             delta = delta @ params.weights[m - 1].astype(delta.dtype, copy=False)
-            delta *= derivative(params.layer_activation(m - 1), z[m - 1])
+            _times_derivative(delta, params.layer_activation(m - 1), z[m - 1])
     return Gradients(d_weights[::-1], d_biases[::-1])
 
 

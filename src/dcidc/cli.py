@@ -191,6 +191,8 @@ def cmd_gradcheck(args) -> int:
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     config = TrainConfig(k=args.k, lambda1=args.lambda1, lambda2=args.lambda2,
                          seed=args.seed)
+    if args.samples < config.k:  # every cluster needs a sample
+        raise ValueError(f"--samples must be at least --k ({config.k}), got {args.samples}")
     dims = net.mirror_dims(args.dims)
     enc = parse_kind(args.activation)
     dec = enc if args.dec_activation is None else parse_kind(args.dec_activation)

@@ -10,12 +10,14 @@ of the code against the center columns and taking the largest coefficient
 (ties go to the lowest index).  Note this least-squares rule coincides with
 nearest-center assignment only when the centers are orthonormal.
 
-The centers, the assignment and the intra-class error are float64.  The
-assignment factors only the k x k matrix S^T S, solves once for the
-projection P = (S^T S)^-1 S^T and labels all codes by one n x k product
-Z P^T.  ``train`` widens its float32 codes to float64 once per epoch for
-both updates; float32 input is widened here too, since a float32-by-float64
-matrix product skips BLAS.
+The centers, the assignment and the intra-class error are float64, on
+``train``'s float32 codes as they are.  The center update widens each
+cluster's member rows before summing them.  The assignment factors only
+the k x k matrix S^T S, solves once for the projection
+P = (S^T S)^-1 S^T and labels the codes by the product Z P^T, taken one
+row block at a time (``linalg.row_blocks``): each block of codes is
+widened to float64, since a float32-by-float64 matrix product skips BLAS,
+and only its labels are kept, so no n-row float64 array is formed.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .linalg import (
     SingularMatrixError,
     column_sums,
     frobenius_sq,
+    row_blocks,
     solve_spd,
 )
 from .seeding import substream
@@ -100,7 +103,9 @@ def update_indicator(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     Solves the normal equations once for the projection (with ridge fallback
     for rank-deficient center sets, e.g. code_dim < k), applies it to every
-    code and labels each with its largest coefficient (``binarize``).
+    code and labels each with its largest coefficient (``binarize``).  The
+    codes go through in row blocks, each widened to float64 and labelled
+    before the next; a block's labels are those of the whole product.
     """
     if codes.shape[1] != centers.shape[0]:
         raise ShapeMismatchError(
@@ -115,14 +120,17 @@ def update_indicator(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
             f"indicator solve failed: centers of shape {centers.shape} are "
             f"numerically collapsed ({exc})"
         ) from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = codes.astype(np.float64, copy=False) @ projection.T  # n x k
-    if not np.isfinite(coeffs).all():
-        raise DegenerateCentersError(
-            f"indicator solve failed: non-finite coefficients for codes of "
-            f"shape {codes.shape}"
-        )
-    return binarize(coeffs)
+    labels = np.empty(codes.shape[0], dtype=np.int64)
+    for rows in row_blocks(codes.shape[0], 8 * max(codes.shape[1], centers.shape[1])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = codes[rows].astype(np.float64, copy=False) @ projection.T
+        if not np.isfinite(coeffs).all():
+            raise DegenerateCentersError(
+                f"indicator solve failed: non-finite coefficients for codes of "
+                f"shape {codes.shape}"
+            )
+        labels[rows] = binarize(coeffs)
+    return labels
 
 
 def binarize(rows: np.ndarray) -> np.ndarray:

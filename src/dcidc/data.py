@@ -252,6 +252,8 @@ def synth_blobs(
         raise ValueError(f"separation must be positive and finite, got {separation}")
     if not np.isfinite(noise_sigma):
         raise ValueError(f"noise sigma must be finite, got {noise_sigma}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = substream(seed, "synth")
     side = separation * max(2.0, k ** (1.0 / dim))
     centers = None

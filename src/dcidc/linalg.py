@@ -1,12 +1,14 @@
-"""Shared matrix kernels: a guarded SPD solve, the squared Frobenius norm
-and column sums.
+"""Shared matrix kernels: a guarded SPD solve, the squared Frobenius norm,
+column sums and row blocks.
 
 solve_spd is the Cholesky solve behind the assignment update, on numpy's
 LAPACK alone; frobenius_sq is the squared norm in the loss terms;
 column_sums adds the rows of a batch, for the bias gradients and the
-cluster member sums.  Other matrix arithmetic is plain numpy on 2-D arrays,
-one row per sample.  All three kernels are deterministic: identical inputs
-give bit-identical outputs.
+cluster member sums; row_blocks cuts a row range into slices of about
+BLOCK_BYTES, so a per-row pass needs temporaries of one block, not of the
+whole batch.  Other matrix arithmetic is plain numpy on 2-D arrays, one
+row per sample.  All the kernels are deterministic: identical inputs give
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 RIDGE = 1e-8
+BLOCK_BYTES = 256 * 1024  # the size row_blocks aims at, per temporary
 _PIVOT_RATIO = 1e-7  # smallest/largest Cholesky pivot considered healthy
 
 
@@ -96,3 +99,11 @@ def column_sums(a: np.ndarray) -> np.ndarray:
     if a.shape[1] == 1:
         return a.sum(axis=0)
     return np.einsum("ij->j", a)
+
+
+def row_blocks(n: int, row_bytes: int):
+    """Slices covering rows 0..n-1 in order, each of about BLOCK_BYTES when
+    one row of the temporary takes row_bytes; at least one row each."""
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))

@@ -5,7 +5,9 @@ current assignments (per-cluster code means), evaluate the loss terms,
 recompute the assignments from the centers (least-squares + binarize, which
 yields one cluster label per sample), then take one gradient-descent step
 on every weight and bias.  Assignments and centers are constants inside the
-gradient step.
+gradient step.  Both cluster updates read the float32 codes of the forward
+trace as they are and widen them to float64 one member set or row block
+at a time, so an epoch keeps no float64 copy of the codes.
 
 The loss decomposes as j_total = j1 + j2 + j3 with
 
@@ -147,9 +149,8 @@ def train(
             # full batch: written over the last trace, so no n-row array is
             # freed to the heap top, trimmed and faulted in again each epoch
             trace = net.forward(params, data, out=trace)
-            codes = trace.code.astype(np.float64)  # widened once per epoch
             centers, reseeded = clusters.update_centers(
-                codes, assigned, config.k, centers
+                trace.code, assigned, config.k, centers
             )
             state = clusters.ClusterState(centers, assigned)
             j_total, j1, j2, j3 = loss_terms(
@@ -174,8 +175,7 @@ def train(
                 if flat_epochs >= CONVERGENCE_WINDOW:
                     break
             prev_total = j_total
-            assigned = clusters.update_indicator(codes, centers)
-            del codes  # not live at the backward pass's memory peak
+            assigned = clusters.update_indicator(trace.code, centers)
             if config.batch_size is None or config.batch_size >= n:
                 grads = net.backward(
                     params, trace, assigned, centers, config.lambda1, config.lambda2

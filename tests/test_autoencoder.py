@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from dcidc.autoencoder import (
     validate_dims,
 )
 from dcidc.clusters import init_indicator
-from dcidc.linalg import ShapeMismatchError
+from dcidc.linalg import BLOCK_BYTES, ShapeMismatchError, column_sums
 
 TANH = ActivationKind.TANH
 
@@ -365,6 +367,69 @@ def test_passes_share_and_overwrite_no_trace_array(kind, dtype):
     backward(params, trace, assignments, centers, 0.3, 3e-4)
     for a, s in zip(acts, snapshot):
         assert a.tobytes() == s.tobytes()
+
+
+def whole_array_backward(params, trace, assignments, centers, lam1, lam2):
+    """backward with each derivative taken over the whole batch, and the
+    constraint signal formed before the pass and scaled out of place."""
+    z = trace.activations
+    m_total = params.num_layers
+    out = z[-1]
+    delta = np.subtract(out, z[0]) * derivative(params.layer_activation(m_total), out)
+    code = trace.code
+    rows = np.ascontiguousarray(centers.T, dtype=code.dtype)
+    constraint = (code - rows[assignments]) * derivative(params.enc_activation, code)
+    d_weights, d_biases = [None] * m_total, [None] * m_total
+    for m in range(m_total, 0, -1):
+        if m == m_total // 2:
+            delta = delta + lam1 * constraint
+        d_weights[m - 1] = delta.T @ z[m - 1] + lam2 * params.weights[m - 1]
+        d_biases[m - 1] = column_sums(delta) + lam2 * params.biases[m - 1]
+        if m > 1:
+            w = params.weights[m - 1].astype(delta.dtype)
+            delta = (delta @ w) * derivative(params.layer_activation(m - 1), z[m - 1])
+    return Gradients(d_weights, d_biases)
+
+
+BLOCKED_NETS = {1: [1, 1, 1], 16: [16, 16, 16, 16, 16], 200: [200, 128, 64, 32]}
+
+
+@pytest.mark.parametrize("width", sorted(BLOCKED_NETS))
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_blocked_backward_equals_whole_array_oracle(width, case, dtype):
+    """Row counts on both sides of the block boundaries of the widest layer."""
+    block = BLOCK_BYTES // (width * np.dtype(dtype).itemsize)
+    n = [1, block - 1, block, 3 * block + 7][case]
+    kinds = list(ActivationKind)
+    enc, dec = kinds[case], kinds[(case + width) % len(kinds)]
+    dims = mirror_dims(BLOCKED_NETS[width])
+    rng = np.random.default_rng(case)
+    params = init(dims, enc, dec, case)
+    batch = rng.uniform(0.0, 1.0, size=(n, width)).astype(dtype)
+    k = min(n, 3)
+    centers = rng.normal(0.0, 0.5, size=(params.code_dim, k))
+    assignments = init_indicator(n, k, case)
+    trace = forward(params, batch)
+    got = backward(params, trace, assignments, centers, 0.3, 3e-4)
+    want = whole_array_backward(params, trace, assignments, centers, 0.3, 3e-4)
+    for a, b in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_backward_holds_two_signal_arrays_and_one_block():
+    """At the peak, two n-row signal arrays and one block-sized derivative
+    are live, besides the parameter-sized arrays (SLACK)."""
+    n, width, slack = 20000, 16, 16 * 1024
+    params, batch, assignments, centers = random_instance(5, [16, 16, 16], n, 9)
+    trace = forward(params, batch.astype(np.float32))
+    tracemalloc.start()
+    try:
+        backward(params, trace, assignments, centers, 0.3, 3e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * width * 4 + BLOCK_BYTES + slack
 
 
 class TestApplyUpdate:

@@ -71,13 +71,16 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, value", [
         ("--n-per-cluster", "0"), ("--dim", "0"), ("--noise-sigma", "nan"),
-        ("--separation", "inf"), ("--separation", "nan"),
+        ("--separation", "inf"), ("--separation", "nan"), ("--seed", "-1"),
     ])
     def test_unreadable_output_exits_2_writing_nothing(self, tmp_path, capsys,
                                                        flag, value):
         out = tmp_path / "blobs.dcmx"
         assert main(["synth", "--out", str(out), flag, value]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if flag == "--seed":
+            assert "seed must be >= 0, got -1" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -415,6 +418,8 @@ class TestGradcheck:
         ("--lambda1", "nan"): "lambda1 must be finite",
         ("--lambda1", "-1"): "trade-off weights must be >= 0",
         ("--lambda2", "-0.5"): "trade-off weights must be >= 0",
+        **{("--samples", v): f"--samples must be at least --k (2), got {v}"
+           for v in ("-3", "0", "1")},
     }
 
     @pytest.mark.parametrize("flag, value", BAD_SETTINGS)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,7 @@ from dcidc.clusters import (
     update_centers,
     update_indicator,
 )
-from dcidc.linalg import frobenius_sq
+from dcidc.linalg import BLOCK_BYTES, SingularMatrixError, frobenius_sq, solve_spd
 
 
 def assert_labels(labels, n, k):
@@ -354,3 +356,60 @@ def test_float32_codes_equal_widened_codes(instance, seed):
             update_indicator(codes, centers)
         return
     assert np.array_equal(update_indicator(codes, centers), expected)
+
+
+def indicator_block_rows(width, k):
+    """Rows of one update_indicator block: a float64 row of the wider of
+    the code and the coefficient arrays."""
+    return BLOCK_BYTES // (8 * max(width, k))
+
+
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from(range(4)),
+    st.integers(1, 16),
+    st.integers(1, 9),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_row_blocked_indicator_equals_whole_array_product(dtype, case, width, k, seed):
+    """Labels taken one row block at a time equal those of one whole-array
+    product, at row counts on both sides of the block boundaries."""
+    block = indicator_block_rows(width, k)
+    n = [1, block - 1, block, 3 * block + 7][case]
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(width, k))
+    codes = rng.normal(size=(n, width)).astype(dtype)
+    try:
+        projection = solve_spd(centers.T @ centers, centers.T)
+    except SingularMatrixError:
+        with pytest.raises(DegenerateCentersError):
+            update_indicator(codes, centers)
+        return
+    expected = binarize(codes.astype(np.float64) @ projection.T)
+    got = update_indicator(codes, centers)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_non_finite_code_in_last_block_raises(dtype):
+    rng = np.random.default_rng(3)
+    centers = rng.normal(size=(16, 9))
+    codes = rng.normal(size=(3 * indicator_block_rows(16, 9) + 7, 16)).astype(dtype)
+    codes[-1, 5] = np.nan
+    with pytest.raises(DegenerateCentersError, match="non-finite coefficients"):
+        update_indicator(codes, centers)
+
+
+def test_indicator_on_float32_codes_widens_no_whole_code_array():
+    n, width = 20000, 16
+    rng = np.random.default_rng(4)
+    codes = rng.normal(size=(n, width)).astype(np.float32)
+    centers = rng.normal(size=(width, 9))
+    tracemalloc.start()
+    try:
+        update_indicator(codes, centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * width * 8

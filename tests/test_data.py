@@ -360,6 +360,11 @@ class TestSynthBlobs:
         with pytest.raises(ValueError, match=message):
             synth_blobs(n_per_cluster, 3, dim, separation, noise_sigma, seed=0)
 
+    def test_rejects_negative_seed(self):
+        # the settings table above fixes the seed, so this case stands apart
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            synth_blobs(5, 3, 10, 6.0, 1.0, seed=-1)
+
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
             synth_blobs(5, 1, 3, 1.0, 0.1, seed=0)
