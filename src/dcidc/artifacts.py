@@ -165,9 +165,10 @@ def _checked(record, cls, where: str) -> dict:
 _SPEC_PATHS = ("data", "labels")
 
 
-def _input_digests(spec: RunSpec) -> list[tuple]:
+def input_digests(spec: RunSpec) -> list[tuple]:
     """(path, sha256) of the data file and of the labels file the run reads;
-    both are None when it reads no labels file."""
+    both are None when it reads no labels file.  Take them just before the
+    files are read, so they fingerprint the bytes the run trained on."""
     labels = labels_path(spec.data, spec.labels)
     return [(spec.data, sha256_file(spec.data)),
             (labels, None if labels is None else sha256_file(labels))]
@@ -189,8 +190,9 @@ class RunManifest:
     artifacts: dict
 
     @classmethod
-    def build(cls, spec: RunSpec, artifacts: dict) -> "RunManifest":
-        (_, data_digest), (_, labels_digest) = _input_digests(spec)
+    def build(cls, spec: RunSpec, artifacts: dict, digests: list[tuple]) -> "RunManifest":
+        """digests: input_digests(spec), as taken when the run read its inputs."""
+        (_, data_digest), (_, labels_digest) = digests
         return cls(__version__, spec, data_digest, labels_digest, artifacts)
 
     def check_inputs(self) -> None:
@@ -202,7 +204,7 @@ class RunManifest:
                 f"engine {__version__}; its numbers differ between versions"
             )
         recorded = (self.data_sha256, self.labels_sha256)
-        for (path, digest), want in zip(_input_digests(self.spec), recorded):
+        for (path, digest), want in zip(input_digests(self.spec), recorded):
             if digest != want:
                 raise ValueError(
                     f"{path or 'no labels file'}: fingerprint {str(digest)[:12]} "

@@ -1,7 +1,9 @@
 """Command-line surface: train / replay / gradcheck / evaluate / sweep / synth.
 
-train and sweep turn their flags into one RunSpec; train writes it into the
-run's manifest and replay runs it again from there.
+train and sweep turn their flags into one RunSpec.  train, replay and every
+cell of a sweep (one lambda1 value and one seed) go through _run_training,
+which writes a run directory whose manifest replays byte for byte; a sweep
+loads its data once and shares it among its cells.
 
 Exit codes: 0 success, 2 for bad input (I/O, parsing, validation), 1 for
 runtime failures (divergence, collapsed centers, gradient check over
@@ -25,7 +27,7 @@ from . import artifacts as art
 from . import autoencoder as net
 from . import clusters, data, gradcheck, metrics
 from .activations import DEFAULT_ACTIVATION, ActivationKind, parse_kind
-from .training import DivergenceError, TrainConfig, train
+from .training import DivergenceError, EpochReport, TrainConfig, train
 
 KINDS = tuple(kind.value for kind in ActivationKind)
 
@@ -53,6 +55,14 @@ def _parse_map_shape(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expects HEIGHTxWIDTH, got {text!r}") from None
 
 
+def _parse_grid(text: str) -> list[float]:
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated numbers, got {text!r}") from None
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     """Flags shared by train and sweep; each one's dest names a RunSpec or
     TrainConfig field, and its type parses the field's value."""
@@ -76,6 +86,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--normalize", default="minmax", choices=tuple(art.NORMALIZE_MODES))
     p.add_argument("--mask-unlabeled", action="store_true",
                    help="drop rows labeled 0 and re-index the rest")
+    p.add_argument("--map-shape", type=_parse_map_shape, default=None,
+                   help="HEIGHTxWIDTH of the unmasked image, enables PGM label map;"
+                        " needs --mask-unlabeled")
 
 
 def _spec_from_args(args) -> art.RunSpec:
@@ -85,7 +98,9 @@ def _spec_from_args(args) -> art.RunSpec:
 
 
 def _prepare(spec: art.RunSpec):
-    """(dataset, mirrored dims, encoder and decoder activations) of a spec."""
+    """(dataset, mirrored dims, encoder and decoder activations, input
+    digests) of a spec; the digests are taken just before the files are read."""
+    digests = art.input_digests(spec)
     ds = data.load(spec.data, spec.labels)
     if spec.mask_unlabeled:
         ds = data.mask_unlabeled(ds)
@@ -101,43 +116,55 @@ def _prepare(spec: art.RunSpec):
         raise ValueError(
             f"--dims starts at {dims[0]} but the data has {ds.dim} features"
         )
-    enc = parse_kind(spec.activation)
-    dec = enc if spec.dec_activation is None else parse_kind(spec.dec_activation)
-    return ds, net.mirror_dims(dims), enc, dec
-
-
-def _run_training(spec: art.RunSpec, out_dir: Path) -> None:
-    """Train a spec into out_dir, which must be absent or empty.
-
-    The artifacts go to a sibling directory, renamed to out_dir once all are
-    written, so a failed run leaves no out_dir.  A sibling shares out_dir's
-    parent, so the manifest's relative paths hold after the rename.
-    """
-    out_dir = Path(os.path.abspath(out_dir))
-    if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):
-        raise ValueError(f"--out-dir {out_dir} exists and is not an empty directory")
-    ds, dims, enc, dec = _prepare(spec)
     if spec.map_shape is not None:
         h, w = spec.map_shape
         if h * w != ds.mask.size:
             raise ValueError(
                 f"--map-shape {h}x{w} holds {h * w} pixels, the image has {ds.mask.size}"
             )
+    enc = parse_kind(spec.activation)
+    dec = enc if spec.dec_activation is None else parse_kind(spec.dec_activation)
+    return ds, net.mirror_dims(dims), enc, dec, digests
+
+
+def _fresh_dir(out_dir) -> Path:
+    """out_dir made absolute, once it is known to be absent or empty."""
+    out_dir = Path(os.path.abspath(out_dir))
+    if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):
+        raise ValueError(f"--out-dir {out_dir} exists and is not an empty directory")
+    return out_dir
+
+
+def _run_training(spec: art.RunSpec, out_dir: Path, prepared=None) -> EpochReport:
+    """Train a spec into out_dir, which must be absent or empty; the last report.
+
+    prepared is _prepare(spec), made here unless the caller has it.  The
+    artifacts go to a sibling directory, renamed to out_dir once all are
+    written, so a failed run leaves no out_dir.  A sibling shares out_dir's
+    parent, so the manifest's relative paths hold after the rename.
+    """
+    out_dir = _fresh_dir(out_dir)
+    prepared = _prepare(spec) if prepared is None else prepared
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = out_dir.with_name(f".{out_dir.name}.{uuid.uuid4().hex[:12]}.partial")
     staging.mkdir()
     try:
-        final = _write_run(spec, ds, dims, enc, dec, staging)
+        final = _write_run(spec, *prepared, staging)
         os.replace(staging, out_dir)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+    return final
+
+
+def _print_final(final: EpochReport) -> None:
     line = f"epochs={final.epoch} j_total={final.j_total:.6g}"
     if final.accuracy is not None:
         line += f" accuracy={final.accuracy:.4f} nmi={final.nmi:.4f}"
     print(line)
 
 
-def _write_run(spec: art.RunSpec, ds: data.Dataset, dims, enc, dec, out_dir: Path):
+def _write_run(spec: art.RunSpec, ds: data.Dataset, dims, enc, dec, digests,
+               out_dir: Path) -> EpochReport:
     """Train and write every artifact of the run into out_dir; the last report."""
     with open(out_dir / "epoch_log.csv", "w", encoding="ascii") as log:
         log.write(art.EPOCH_LOG_HEADER + "\n")
@@ -168,19 +195,19 @@ def _write_run(spec: art.RunSpec, ds: data.Dataset, dims, enc, dec, out_dir: Pat
             art.write_pgm(out_dir / "label_map.pgm", grid, w, h)
             paths["label_map_pgm"] = "label_map.pgm"
     art.save_checkpoint(out_dir / "checkpoint.bin", params, reports[-1].epoch)
-    art.RunManifest.build(spec, paths).save(out_dir / "manifest.json")
+    art.RunManifest.build(spec, paths, digests).save(out_dir / "manifest.json")
     return reports[-1]
 
 
 def cmd_train(args) -> int:
-    _run_training(_spec_from_args(args), Path(args.out_dir))
+    _print_final(_run_training(_spec_from_args(args), Path(args.out_dir)))
     return 0
 
 
 def cmd_replay(args) -> int:
     manifest = art.RunManifest.load(args.manifest)
     manifest.check_inputs()
-    _run_training(manifest.spec, Path(args.out_dir))
+    _print_final(_run_training(manifest.spec, Path(args.out_dir)))
     return 0
 
 
@@ -219,29 +246,43 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    names = [f"lambda1={value:g}" for value in args.grid]
+    if len(set(names)) < len(names):
+        raise ValueError(f"--grid names a cell directory twice: {', '.join(names)}")
+    seeds = range(spec.config.seed, spec.config.seed + args.seeds)
     # every cell is validated before the first one trains
-    cells = [replace(spec.config, lambda1=float(tok)) for tok in args.grid.split(",")]
-    ds, dims, enc, dec = _prepare(spec)
-    if ds.labels is None:
+    cells = [(name, replace(spec, config=replace(spec.config, lambda1=value, seed=seed)))
+             for name, value in zip(names, args.grid) for seed in seeds]
+    out_dir = _fresh_dir(args.out_dir)
+    prepared = _prepare(spec)
+    if prepared[0].labels is None:
         raise ValueError("sweep needs labels (companion file or --labels)")
-    lines = ["lambda1,accuracy,nmi"]
-    failed = 0
-    for cell in cells:
+    finished = {name: [] for name in names}  # (accuracy, nmi) of each finished cell
+    lines = ["lambda1,seed,accuracy,nmi"]
+    for name, cell in cells:
+        lambda1, seed = cell.config.lambda1, cell.config.seed
         try:
-            _, _, reports = train(ds.features, cell, dims, enc, dec, labels=ds.labels)
+            final = _run_training(cell, out_dir / name / f"seed{seed}", prepared)
         except (DivergenceError, clusters.DegenerateCentersError) as exc:
-            print(f"lambda1={cell.lambda1:g} failed: {exc}", file=sys.stderr)
-            lines.append(f"{cell.lambda1:g},nan,nan")
-            failed += 1
+            print(f"{name} seed={seed} failed: {exc}", file=sys.stderr)
+            lines.append(f"{lambda1:g},{seed},nan,nan")
+            if not any((out_dir / name).iterdir()):
+                (out_dir / name).rmdir()
         else:
-            final = reports[-1]
-            lines.append(f"{cell.lambda1:g},{final.accuracy:.6f},{final.nmi:.6f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 1 if failed == len(cells) else 0
+            finished[name].append((final.accuracy, final.nmi))
+            lines.append(f"{lambda1:g},{seed},{final.accuracy:.6f},{final.nmi:.6f}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    for name, results in finished.items():
+        line = f"{name} {len(results)}/{len(seeds)} cells finished"
+        if results:
+            accs, nmis = zip(*results)
+            line += (f"  accuracy {100 * np.mean(accs):.2f} +/- {100 * np.std(accs):.2f}"
+                     f"  nmi {100 * np.mean(nmis):.2f} +/- {100 * np.std(nmis):.2f}")
+        print(line)
+    return 0 if any(finished.values()) else 1
 
 
 def cmd_synth(args) -> int:
@@ -266,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.add_argument("--lambda1", type=float, default=TrainConfig.lambda1)
     p.add_argument("--out-dir", default="dcidc-out")
-    p.add_argument("--map-shape", type=_parse_map_shape, default=None,
-                   help="HEIGHTxWIDTH of the unmasked image, enables PGM label map;"
-                        " needs --mask-unlabeled")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("replay", help="re-run a recorded manifest")
@@ -294,12 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("truth")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="one train run per lambda1 grid value")
+    p = sub.add_parser("sweep", help="one train run per lambda1 grid value and seed")
     _add_run_flags(p)
-    p.add_argument("--grid", default="0,0.1,0.3,1.0")
-    p.add_argument("--out", default=None, help="sweep CSV path (default stdout)")
-    # the grid sets lambda1 per cell; a sweep writes no label map
-    p.set_defaults(func=cmd_sweep, lambda1=TrainConfig.lambda1, map_shape=None)
+    p.add_argument("--grid", type=_parse_grid, default="0,0.1,0.3,1.0",
+                   help="lambda1 values, e.g. 0,0.3")
+    p.add_argument("--seeds", type=int, default=1,
+                   help="seeds per grid value, counting up from --seed")
+    p.add_argument("--out-dir", default="dcidc-sweep",
+                   help="parent of the lambda1=<v>/seed<s> run directories and sweep.csv")
+    # the grid sets lambda1 per cell
+    p.set_defaults(func=cmd_sweep, lambda1=TrainConfig.lambda1)
 
     p = sub.add_parser("synth", help="generate a Gaussian-blob benchmark")
     p.add_argument("--out", required=True)

@@ -282,6 +282,6 @@ def test_hyperspectral_harness_available():
     if not data_dir:
         print("ACCEPTANCE full-scale-reproduction: SKIP (informational; "
               "set DCIDC_HSI_DATA to converted dcmx datasets and run "
-              "scripts/run_hyperspectral.py)")
+              "dcidc sweep --mask-unlabeled --seeds 5 on each)")
         pytest.skip("external hyperspectral data not supplied")
     report("full-scale-reproduction", os.path.isdir(data_dir))

@@ -11,6 +11,7 @@ from dcidc.artifacts import (
     RunManifest,
     RunSpec,
     epoch_csv_line,
+    input_digests,
     load_checkpoint,
     save_checkpoint,
     sha256_file,
@@ -94,7 +95,7 @@ def test_manifest_roundtrip(tmp_path):
         mask_unlabeled=False, map_shape=None, dims=[2, 1], activation="tanh",
         dec_activation=None, config=TrainConfig(k=2),
     )
-    manifest = RunManifest.build(spec, {"labels_csv": "labels.csv"})
+    manifest = RunManifest.build(spec, {"labels_csv": "labels.csv"}, input_digests(spec))
     path = tmp_path / "run" / "manifest.json"
     path.parent.mkdir()
     manifest.save(path)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from dcidc import __version__, autoencoder, cli, clusters, data
-from dcidc.artifacts import load_checkpoint
+from dcidc.artifacts import epoch_csv_line, load_checkpoint
 from dcidc.autoencoder import default_dims, mirror_dims
 from dcidc.cli import main
-from dcidc.data import load_label_csv, save_label_csv
+from dcidc.data import (load, load_label_csv, mask_unlabeled, normalize, save_label_csv,
+                        synth_blobs)
+from dcidc.training import TrainConfig, train
 
 
 @pytest.fixture()
@@ -40,6 +42,21 @@ def image_file(directory):
     save_label_csv(directory / "img.labels.csv",
                    [0, 1, 2, 0, 1, 2, 1, 2, 0, 1, 2, 1])
     return data
+
+
+@pytest.fixture()
+def scene(tmp_path):
+    """A 75-pixel, 8-band CSV whose 15 background pixels (class 0) are noise."""
+    blobs = synth_blobs(20, 3, 8, 6.0, 1.0, seed=4)
+    rng = np.random.default_rng(4)
+    features = np.vstack([blobs.features, rng.uniform(0, 12, size=(15, 8))])
+    labels = np.concatenate([blobs.labels + 1, np.zeros(15, dtype=np.int64)])
+    order = rng.permutation(len(labels))
+    path = tmp_path / "scene.csv"
+    rows = features[order].tolist()
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    save_label_csv(tmp_path / "scene.labels.csv", labels[order])
+    return path
 
 
 def image_args(data, out_dir, *extra):
@@ -278,6 +295,25 @@ class TestReplay:
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
 
+    def test_data_rewritten_during_training_fails_replay(self, blob_file, tmp_path,
+                                                         capsys, monkeypatch):
+        """The manifest fingerprints the bytes the run read, not the file as it
+        is once training ends."""
+        def train_then_rewrite(*args, **kwargs):
+            result = train(*args, **kwargs)
+            data.save_dcmx(blob_file, data.load_dcmx(blob_file)[::-1])
+            return result
+
+        monkeypatch.setattr(cli, "train", train_then_rewrite)
+        out = tmp_path / "run"
+        assert main(train_args(blob_file, out)) == 0
+        monkeypatch.undo()
+        copy = tmp_path / "copy"
+        assert main(["replay", str(out / "manifest.json"), "--out-dir", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert "blobs.dcmx: fingerprint" in err and "does not match" in err
+        assert not copy.exists()
+
     def test_other_engine_version_exits_2_before_training(
         self, blob_file, tmp_path, capsys, monkeypatch
     ):
@@ -449,75 +485,219 @@ class TestEvaluate:
         assert main(["evaluate", str(a), str(b)]) == 2
 
 
+def sweep_args(data, out_dir, *extra):
+    return ["sweep", "--data", str(data), "--k", "3", "--dims", "6,4,3",
+            "--epochs", "20", "--seed", "5", "--out-dir", str(out_dir), *extra]
+
+
+def scene_args(scene, out_dir, *extra):
+    return ["sweep", "--data", str(scene), "--k", "3", "--epochs", "40", "--seeds", "2",
+            "--lr", "0.01", "--grid", "0.3", "--mask-unlabeled",
+            "--out-dir", str(out_dir), *extra]
+
+
+def sweep_rows(out_dir):
+    header, *rows = (out_dir / "sweep.csv").read_text().splitlines()
+    assert header == "lambda1,seed,accuracy,nmi"
+    return [row.split(",") for row in rows]
+
+
+REPLAYED = ("epoch_log.csv", "labels.csv", "labels.dcmx", "labels_full.csv")
+
+SWEEP_BAD_INPUT = {  # problem -> what stderr must say
+    "nonempty out dir": "not an empty directory",
+    "no labels": "needs labels",  # --mask-unlabeled says so before sweep does
+    "missing data": "No such file or directory",
+    "malformed data": "could not convert",
+    "zero seeds": "--seeds must be at least 1, got 0",
+    "grid text": "argument --grid: expects comma-separated numbers",
+    "repeated grid value": "names a cell directory twice",
+    "equal grid values": "names a cell directory twice",
+    "map shape off the image": "the image has 75",
+    "flag train rejects": "unrecognized arguments: --momentum 0.9",
+}
+
+
 class TestSweep:
     def test_singleton_grid_matches_train(self, blob_file, tmp_path, capsys):
-        out_csv = tmp_path / "sweep.csv"
-        assert main([
-            "sweep", "--data", str(blob_file), "--k", "3", "--dims", "6,4,3",
-            "--epochs", "40", "--seed", "5", "--grid", "0.3",
-            "--out", str(out_csv),
-        ]) == 0
-        header, row = out_csv.read_text().splitlines()
-        assert header == "lambda1,accuracy,nmi"
-        run_dir = tmp_path / "ref"
+        out = tmp_path / "sweep"
+        assert main(sweep_args(blob_file, out, "--epochs", "40", "--grid", "0.3")) == 0
+        # at the cell's depth below tmp_path, so the manifest's data path agrees
+        run_dir = tmp_path / "ref" / "lambda1=0.3" / "seed5"
         assert main(train_args(blob_file, run_dir)) == 0
+        cell = out / "lambda1=0.3" / "seed5"
+        assert sorted(p.name for p in cell.iterdir()) == \
+            sorted(p.name for p in run_dir.iterdir())
+        for path in run_dir.iterdir():
+            assert path.read_bytes() == (cell / path.name).read_bytes(), path.name
         final = (run_dir / "epoch_log.csv").read_text().splitlines()[-1].split(",")
-        assert row == f"0.3,{float(final[5]):.6f},{float(final[6]):.6f}"
+        assert sweep_rows(out) == [["0.3", "5", f"{float(final[5]):.6f}",
+                                    f"{float(final[6]):.6f}"]]
 
     def test_without_dims_matches_train(self, eight_band_file, tmp_path, capsys):
         args = ["--data", str(eight_band_file), "--k", "3", "--epochs", "20"]
-        assert main(["sweep", *args, "--grid", "0.3"]) == 0
-        row = capsys.readouterr().out.splitlines()[1]
+        assert main(["sweep", *args, "--grid", "0.3",
+                     "--out-dir", str(tmp_path / "sweep")]) == 0
+        (row,) = sweep_rows(tmp_path / "sweep")
         run_dir = tmp_path / "ref"
         assert main(["train", *args, "--out-dir", str(run_dir)]) == 0
         final = (run_dir / "epoch_log.csv").read_text().splitlines()[-1].split(",")
-        assert row == f"0.3,{float(final[5]):.6f},{float(final[6]):.6f}"
+        assert row == ["0.3", "0", f"{float(final[5]):.6f}", f"{float(final[6]):.6f}"]
 
     def test_grid_with_zero_baseline(self, blob_file, tmp_path, capsys):
-        assert main([
-            "sweep", "--data", str(blob_file), "--k", "3", "--dims", "6,4,3",
-            "--epochs", "20", "--seed", "5", "--grid", "0,0.3",
-        ]) == 0
+        out = tmp_path / "sweep"
+        assert main(sweep_args(blob_file, out, "--grid", "0,0.3")) == 0
+        assert [row[:2] for row in sweep_rows(out)] == [["0", "5"], ["0.3", "5"]]
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["lambda1=0", "lambda1=0.3", "sweep.csv"]
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1].startswith("0,")
-        assert lines[2].startswith("0.3,")
+        assert [line.split()[0] for line in lines] == ["lambda1=0", "lambda1=0.3"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_every_cell_diverging_exits_1(self, blob_file, capsys):
-        assert main([
-            "sweep", "--data", str(blob_file), "--k", "3", "--dims", "6,4,3",
-            "--epochs", "20", "--seed", "5", "--grid", "0,0.3",
-            "--lr", "1e300", "--lambda2", "1",
-        ]) == 1
+    def test_every_cell_diverging_exits_1(self, blob_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(sweep_args(blob_file, out, "--grid", "0,0.3",
+                               "--lr", "1e300", "--lambda2", "1")) == 1
         assert capsys.readouterr().err.count("failed") == 2
+        assert sweep_rows(out) == [["0", "5", "nan", "nan"], ["0.3", "5", "nan", "nan"]]
+        assert [p.name for p in out.iterdir()] == ["sweep.csv"]  # no cell directory
 
-    def test_two_sweeps_identical(self, blob_file, capsys):
-        args = ["sweep", "--data", str(blob_file), "--k", "3", "--dims", "6,4,3",
-                "--epochs", "12", "--seed", "7", "--grid", "0,0.1,0.3,1.0"]
-        assert main(args) == 0
+    def test_two_sweeps_identical(self, blob_file, tmp_path, capsys):
+        extra = ("--epochs", "12", "--seed", "7", "--grid", "0,0.1,0.3,1.0")
+        assert main(sweep_args(blob_file, tmp_path / "a", *extra)) == 0
         first = capsys.readouterr().out
-        assert main(args) == 0
+        assert main(sweep_args(blob_file, tmp_path / "b", *extra)) == 0
         assert capsys.readouterr().out == first
-        rows = [line.split(",") for line in first.splitlines()[1:]]
+        rows = sweep_rows(tmp_path / "a")
+        assert (tmp_path / "b" / "sweep.csv").read_bytes() == \
+            (tmp_path / "a" / "sweep.csv").read_bytes()
         assert [row[0] for row in rows] == ["0", "0.1", "0.3", "1"]
-        assert all(np.isfinite(float(v)) for row in rows for v in row[1:])
+        assert all(np.isfinite(float(v)) for row in rows for v in row[2:])
 
-    def test_without_labels_exits_2(self, blob_file, capsys):
+    def test_without_labels_exits_2(self, blob_file, tmp_path, capsys):
         (blob_file.parent / "blobs.labels.csv").unlink()
-        assert main(["sweep", "--data", str(blob_file), "--k", "3",
-                     "--dims", "6,4,3", "--grid", "0.3"]) == 2
+        out = tmp_path / "sweep"
+        assert main(sweep_args(blob_file, out, "--grid", "0.3")) == 2
         assert "sweep needs labels" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_invalid_cell_rejects_grid_before_training(self, blob_file, capsys,
+    def test_invalid_cell_rejects_grid_before_training(self, blob_file, tmp_path, capsys,
                                                        monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("a cell trained before the grid was checked")
 
         monkeypatch.setattr(cli, "train", no_training)
         monkeypatch.setattr(autoencoder, "init", no_training)
-        assert main(["sweep", "--data", str(blob_file), "--k", "3",
-                     "--dims", "6,4,3", "--grid", "0.3,-1"]) == 2
+        out = tmp_path / "sweep"
+        assert main(sweep_args(blob_file, out, "--grid", "0.3,-1")) == 2
         assert "lambda1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeds_match_direct_train_and_replay(self, scene, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(scene_args(scene, out)) == 0
+        (summary,) = capsys.readouterr().out.splitlines()
+        ds = normalize(mask_unlabeled(load(scene)))
+        dims = mirror_dims(default_dims(8, 3))
+        accs, nmis = [], []
+        for seed in (0, 1):
+            config = TrainConfig(k=3, lr=0.01, max_epochs=40, seed=seed)
+            _, _, reports = train(ds.features, config, dims, labels=ds.labels)
+            cell = out / "lambda1=0.3" / f"seed{seed}"
+            last = (cell / "epoch_log.csv").read_text().splitlines()[-1]
+            assert last == epoch_csv_line(reports[-1])
+            accs.append(reports[-1].accuracy)
+            nmis.append(reports[-1].nmi)
+            copy = tmp_path / f"replay{seed}"
+            assert main(["replay", str(cell / "manifest.json"),
+                         "--out-dir", str(copy)]) == 0
+            for name in REPLAYED:
+                assert (cell / name).read_bytes() == (copy / name).read_bytes(), name
+        assert sweep_rows(out) == [["0.3", str(seed), f"{acc:.6f}", f"{nmi:.6f}"]
+                                   for seed, acc, nmi in zip((0, 1), accs, nmis)]
+        assert summary == (
+            f"lambda1=0.3 2/2 cells finished"
+            f"  accuracy {100 * np.mean(accs):.2f} +/- {100 * np.std(accs):.2f}"
+            f"  nmi {100 * np.mean(nmis):.2f} +/- {100 * np.std(nmis):.2f}")
+
+    def test_scene_is_parsed_once_per_sweep(self, scene, tmp_path, monkeypatch):
+        calls, parse = [], data.load_feature_csv
+
+        def counted(path):
+            calls.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(data, "load_feature_csv", counted)
+        assert main(scene_args(scene, tmp_path / "sweep", "--epochs", "2")) == 0
+        assert len(calls) == 1
+        assert len(sweep_rows(tmp_path / "sweep")) == 2
+
+    def test_without_mask_unlabeled_clusters_every_pixel(self, scene, tmp_path):
+        out = tmp_path / "sweep"
+        args = scene_args(scene, out, "--epochs", "5", "--seeds", "1")
+        args.remove("--mask-unlabeled")
+        assert main(args) == 0
+        cell = out / "lambda1=0.3" / "seed0"
+        assert not (cell / "labels_full.csv").exists()
+        assert len((cell / "labels.csv").read_text().splitlines()) == 75
+
+    def test_train_flags_reach_every_cell(self, scene, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(scene_args(scene, out, "--tol", "1e-3", "--lambda2", "0.001",
+                               "--epochs", "3", "--grid", "0,0.3")) == 0
+        for lambda1 in ("0", "0.3"):
+            for seed in (0, 1):
+                manifest = out / f"lambda1={lambda1}" / f"seed{seed}" / "manifest.json"
+                config = json.loads(manifest.read_text())["spec"]["config"]
+                assert (config["tol"], config["lambda2"], config["max_epochs"],
+                        config["lr"], config["lambda1"], config["seed"]) == \
+                    (1e-3, 1e-3, 3, 0.01, float(lambda1), seed)
+
+    @pytest.mark.parametrize("problem", SWEEP_BAD_INPUT)
+    def test_bad_input_exits_2_before_training(self, scene, tmp_path, capsys,
+                                               monkeypatch, problem):
+        out = tmp_path / "sweep"
+        args = scene_args(scene, out)
+        if problem == "nonempty out dir":
+            out.mkdir()
+            (out / "notes.txt").write_text("keep me")
+        elif problem == "no labels":
+            (tmp_path / "scene.labels.csv").unlink()
+        elif problem == "missing data":
+            args[args.index("--data") + 1] = str(tmp_path / "nope.csv")
+        elif problem == "malformed data":
+            scene.write_text("1.0,2.0\nfoo,3.0\n")
+        elif problem == "zero seeds":
+            args += ["--seeds", "0"]
+        else:
+            args += {"grid text": ["--grid", "0.3,x"],
+                     "repeated grid value": ["--grid", "0.3,0.3"],
+                     "equal grid values": ["--grid", "0.3,0.30"],
+                     "map shape off the image": ["--map-shape", "5x5"],
+                     "flag train rejects": ["--momentum", "0.9"]}[problem]
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained on bad input")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(autoencoder, "init", no_training)
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse's own checks
+            code = exc.code
+        assert code == 2
+        assert SWEEP_BAD_INPUT[problem] in capsys.readouterr().err
+        assert not out.exists() or [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_map_shape_draws_every_cell(self, tmp_path):
+        data_file = image_file(tmp_path)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--data", str(data_file), "--k", "2", "--dims", "4,3,2",
+                     "--epochs", "5", "--mask-unlabeled", "--map-shape", "3x4",
+                     "--grid", "0,0.3", "--out-dir", str(out)]) == 0
+        for lambda1 in ("0", "0.3"):
+            raw = (out / f"lambda1={lambda1}" / "seed0" / "label_map.pgm").read_bytes()
+            assert raw.startswith(b"P5\n4 3\n255\n")
 
 
 def untouched(*args, **kwargs):
@@ -550,7 +730,8 @@ def test_out_of_range_config_exits_2_before_reading_data(blob_file, tmp_path, ca
     elif command == "train":
         argv = ["train", *run_flags, flag, value, "--out-dir", str(tmp_path / "copy")]
     elif command == "sweep":
-        argv = ["sweep", *run_flags, flag, value, "--grid", "0.3"]
+        argv = ["sweep", *run_flags, flag, value, "--grid", "0.3",
+                "--out-dir", str(tmp_path / "copy")]
     else:
         argv = ["gradcheck", flag, value]
     monkeypatch.setattr(data, "load", untouched)
