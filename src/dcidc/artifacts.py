@@ -195,16 +195,19 @@ class RunManifest:
         (_, data_digest), (_, labels_digest) = digests
         return cls(__version__, spec, data_digest, labels_digest, artifacts)
 
-    def check_inputs(self) -> None:
-        """Raise ValueError if the run used another engine version, or if the
-        data or labels file changed since the run."""
+    def check_engine(self) -> None:
+        """Raise ValueError if the run used another engine version."""
         if self.engine_version != __version__:
             raise ValueError(
                 f"manifest was written by engine {self.engine_version}, this is "
                 f"engine {__version__}; its numbers differ between versions"
             )
+
+    def check_inputs(self, digests: list[tuple]) -> None:
+        """Raise ValueError if digests, input_digests(self.spec) as a replay
+        takes them, show the data or labels file changed since the run."""
         recorded = (self.data_sha256, self.labels_sha256)
-        for (path, digest), want in zip(input_digests(self.spec), recorded):
+        for (path, digest), want in zip(digests, recorded):
             if digest != want:
                 raise ValueError(
                     f"{path or 'no labels file'}: fingerprint {str(digest)[:12]} "

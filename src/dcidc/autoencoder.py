@@ -18,6 +18,12 @@ time (``linalg.row_blocks``): a pass holds at most two batch-sized signal
 arrays, never a batch-sized derivative.  Cluster
 assignments and centers are constants here, updated elsewhere in closed form.
 
+A trace is either every layer's output, from ``forward``, which
+``backward`` needs, or only ``[input, code, reconstruction]``, from
+``encode_decode``: what the loss and the cluster updates read.  The
+latter runs ``forward`` one row block at a time, so a mini-batch epoch
+can take the codes of all samples without holding their hidden layers.
+
 Parameters are float64 master weights.  A pass computes in the float type of
 its batch: training feeds float32, so the bulk arithmetic runs in float32,
 while the gradients come back float64 (the regularizer term adds the
@@ -32,8 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationKind, apply, derivative
-from .linalg import ShapeMismatchError, column_sums, row_blocks
+from .linalg import ShapeMismatchError, block_rows, column_sums, row_blocks
 from .seeding import substream
+
+# Most rows per forward call in encode_decode: the smallest block whose
+# forward over 20000 x 200 rows (200-128-64-32) was as fast as one call on
+# the whole batch (1024 rows took 8% longer).
+FORWARD_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -65,9 +76,13 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer outputs for one batch.
+    """Layer outputs for one batch: every layer's, or only the code's and
+    the reconstruction's.
 
-    activations[0] is the input batch, activations[m] the output of layer m.
+    activations[0] is the input batch.  A trace from forward holds the
+    output of every layer m at activations[m]; one from encode_decode
+    holds [input, code, reconstruction], which is all a loss or a cluster
+    update reads, but not enough for backward.
     """
 
     activations: list[np.ndarray]
@@ -142,8 +157,9 @@ def forward(params: NetworkParams, batch: np.ndarray,
     """Layer outputs for batch, computed in its float type (float64 for an
     integer batch); the weights and biases are cast to that type per call.
     Each activation overwrites the layer's pre-activation array: a fresh
-    one, or with out (the trace of an earlier batch of the same shape and
-    type) that layer's array of out.  The batch itself is never written."""
+    one, or with out (a trace whose arrays have this batch's row count and
+    type, such as the trace of an earlier batch) that layer's array of out.
+    The batch itself is never written."""
     if batch.ndim != 2 or batch.shape[1] != params.dims[0]:
         raise ShapeMismatchError(
             f"forward: batch of shape {batch.shape} does not match input "
@@ -159,11 +175,40 @@ def forward(params: NetworkParams, batch: np.ndarray,
     return ForwardTrace(acts)
 
 
+def encode_decode(params: NetworkParams, batch: np.ndarray,
+                  out: ForwardTrace | None = None) -> ForwardTrace:
+    """The trace [batch, code, reconstruction] of batch, with forward's bits.
+
+    forward runs once per row block of at most FORWARD_BLOCK_ROWS and
+    writes each block's code and reconstruction straight into the n-row
+    arrays, so no hidden layer's output is held for more than one block.
+    The blocks are of near-equal size (``linalg.row_blocks``), as no block
+    may be short: a product over a few rows may round otherwise than the
+    whole batch's.  With out (the encode_decode trace of an earlier batch
+    of the same shape and type) the n-row arrays are out's.
+    """
+    n, last, half = batch.shape[0], params.num_layers, params.num_layers // 2
+    dtype = np.result_type(batch.dtype, np.float32)
+    if out is None:
+        out = ForwardTrace([batch, np.empty((n, params.code_dim), dtype),
+                            np.empty((n, params.dims[-1]), dtype)])
+    # the other layers' outputs for one block, written again by each block
+    hidden = {m: np.empty((min(n, FORWARD_BLOCK_ROWS), params.dims[m]), dtype)
+              for m in range(1, last) if m != half}
+    for rows in row_blocks(n, FORWARD_BLOCK_ROWS):
+        x, size = batch[rows], rows.stop - rows.start
+        layers = [hidden[m][:size] if m in hidden else out.code[rows]
+                  for m in range(1, last)]
+        # called by its module name, so a wrapper of forward sees every block
+        forward(params, x, out=ForwardTrace([x, *layers, out.reconstruction[rows]]))
+    return ForwardTrace([batch, out.code, out.reconstruction])
+
+
 def _times_derivative(delta: np.ndarray, kind: ActivationKind,
                       z: np.ndarray) -> np.ndarray:
     """delta *= derivative(kind, z) in place, one row block at a time: the
     product is elementwise, so the bits are those of the whole-array form."""
-    for rows in row_blocks(delta.shape[0], delta.shape[1] * delta.itemsize):
+    for rows in row_blocks(delta.shape[0], block_rows(delta.shape[1] * delta.itemsize)):
         block = delta[rows]
         block *= derivative(kind, z[rows])
     return delta
@@ -227,6 +272,11 @@ def backward(
     it is added at the code layer.
     """
     m_total = params.num_layers
+    if len(trace.activations) != m_total + 1:
+        raise ShapeMismatchError(
+            f"backward: the trace holds {len(trace.activations)} arrays, a net "
+            f"of {m_total} layers needs every layer's output ({m_total + 1})"
+        )
     if lambda1 != 0.0 and (assignments is None or centers is None):
         raise ValueError("backward: lambda1 != 0 requires assignments and centers")
     z = trace.activations

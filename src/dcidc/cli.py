@@ -97,10 +97,13 @@ def _spec_from_args(args) -> art.RunSpec:
     return art.RunSpec(**{f.name: flags[f.name] for f in fields(art.RunSpec)})
 
 
-def _prepare(spec: art.RunSpec):
+def _prepare(spec: art.RunSpec, check=None):
     """(dataset, mirrored dims, encoder and decoder activations, input
-    digests) of a spec; the digests are taken just before the files are read."""
+    digests) of a spec; the digests are taken just before the files are read,
+    and check, if given, sees them before any file is parsed."""
     digests = art.input_digests(spec)
+    if check is not None:
+        check(digests)
     ds = data.load(spec.data, spec.labels)
     if spec.mask_unlabeled:
         ds = data.mask_unlabeled(ds)
@@ -206,8 +209,10 @@ def cmd_train(args) -> int:
 
 def cmd_replay(args) -> int:
     manifest = art.RunManifest.load(args.manifest)
-    manifest.check_inputs()
-    _print_final(_run_training(manifest.spec, Path(args.out_dir)))
+    manifest.check_engine()
+    out_dir = _fresh_dir(args.out_dir)  # checked before the inputs are read
+    prepared = _prepare(manifest.spec, manifest.check_inputs)
+    _print_final(_run_training(manifest.spec, out_dir, prepared))
     return 0
 
 
@@ -260,21 +265,24 @@ def cmd_sweep(args) -> int:
     if prepared[0].labels is None:
         raise ValueError("sweep needs labels (companion file or --labels)")
     finished = {name: [] for name in names}  # (accuracy, nmi) of each finished cell
-    lines = ["lambda1,seed,accuracy,nmi"]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    table = out_dir / "sweep.csv"  # a row as each cell ends, so an error keeps the rest
+    table.write_text("lambda1,seed,accuracy,nmi\n")
     for name, cell in cells:
         lambda1, seed = cell.config.lambda1, cell.config.seed
         try:
             final = _run_training(cell, out_dir / name / f"seed{seed}", prepared)
         except (DivergenceError, clusters.DegenerateCentersError) as exc:
             print(f"{name} seed={seed} failed: {exc}", file=sys.stderr)
-            lines.append(f"{lambda1:g},{seed},nan,nan")
-            if not any((out_dir / name).iterdir()):
-                (out_dir / name).rmdir()
+            row = f"{lambda1:g},{seed},nan,nan"
         else:
             finished[name].append((final.accuracy, final.nmi))
-            lines.append(f"{lambda1:g},{seed},{final.accuracy:.6f},{final.nmi:.6f}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+            row = f"{lambda1:g},{seed},{final.accuracy:.6f},{final.nmi:.6f}"
+        finally:  # a failed cell leaves no empty lambda1 directory
+            if (out_dir / name).is_dir() and not any((out_dir / name).iterdir()):
+                (out_dir / name).rmdir()
+        with open(table, "a", encoding="ascii") as fh:
+            fh.write(row + "\n")
     for name, results in finished.items():
         line = f"{name} {len(results)}/{len(seeds)} cells finished"
         if results:

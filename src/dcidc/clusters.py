@@ -29,6 +29,7 @@ import numpy as np
 from .linalg import (
     ShapeMismatchError,
     SingularMatrixError,
+    block_rows,
     column_sums,
     frobenius_sq,
     row_blocks,
@@ -121,7 +122,8 @@ def update_indicator(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
             f"numerically collapsed ({exc})"
         ) from exc
     labels = np.empty(codes.shape[0], dtype=np.int64)
-    for rows in row_blocks(codes.shape[0], 8 * max(codes.shape[1], centers.shape[1])):
+    step = block_rows(8 * max(codes.shape[1], centers.shape[1]))
+    for rows in row_blocks(codes.shape[0], step):
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = codes[rows].astype(np.float64, copy=False) @ projection.T
         if not np.isfinite(coeffs).all():

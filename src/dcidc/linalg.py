@@ -4,11 +4,12 @@ column sums and row blocks.
 solve_spd is the Cholesky solve behind the assignment update, on numpy's
 LAPACK alone; frobenius_sq is the squared norm in the loss terms;
 column_sums adds the rows of a batch, for the bias gradients and the
-cluster member sums; row_blocks cuts a row range into slices of about
-BLOCK_BYTES, so a per-row pass needs temporaries of one block, not of the
-whole batch.  Other matrix arithmetic is plain numpy on 2-D arrays, one
-row per sample.  All the kernels are deterministic: identical inputs give
-bit-identical outputs.
+cluster member sums; row_blocks cuts a row range into slices of at most
+a given row count (block_rows gives the count of about BLOCK_BYTES), so a
+per-row pass needs temporaries of one block, not of the whole batch.
+Other matrix arithmetic is plain numpy on 2-D arrays, one row per sample.
+All the kernels are deterministic: identical inputs give bit-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 RIDGE = 1e-8
-BLOCK_BYTES = 256 * 1024  # the size row_blocks aims at, per temporary
+BLOCK_BYTES = 256 * 1024  # the size block_rows aims at, per temporary
 _PIVOT_RATIO = 1e-7  # smallest/largest Cholesky pivot considered healthy
 
 
@@ -101,9 +102,18 @@ def column_sums(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij->j", a)
 
 
-def row_blocks(n: int, row_bytes: int):
-    """Slices covering rows 0..n-1 in order, each of about BLOCK_BYTES when
-    one row of the temporary takes row_bytes; at least one row each."""
-    step = max(1, BLOCK_BYTES // max(1, row_bytes))
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
+def block_rows(row_bytes: int) -> int:
+    """Rows of a block of about BLOCK_BYTES when one row of the temporary
+    takes row_bytes; at least one."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
+
+
+def row_blocks(n: int, step: int):
+    """Slices covering rows 0..n-1 in order: as few as hold at most step
+    rows each, their sizes differing by at most one row.  So no block is
+    shorter than step/2 unless the whole range is: a matrix product over a
+    few rows may round otherwise than the same rows of a longer product,
+    and from about 64 rows on they agree."""
+    count = -(-n // step)
+    for i in range(count):
+        yield slice(n * i // count, n * (i + 1) // count)

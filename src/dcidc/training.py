@@ -4,10 +4,15 @@ Each epoch, in order: forward all samples, recompute the centers from the
 current assignments (per-cluster code means), evaluate the loss terms,
 recompute the assignments from the centers (least-squares + binarize, which
 yields one cluster label per sample), then take one gradient-descent step
-on every weight and bias.  Assignments and centers are constants inside the
-gradient step.  Both cluster updates read the float32 codes of the forward
-trace as they are and widen them to float64 one member set or row block
-at a time, so an epoch keeps no float64 copy of the codes.
+on every weight and bias, or one per mini-batch of the shuffled samples.
+Assignments and centers are constants inside the gradient steps.  A full
+batch keeps every layer's output of the forward for its backward pass; a
+mini-batch epoch takes the forward of all samples in row blocks
+(``autoencoder.encode_decode``) and keeps only their codes and
+reconstructions, as each mini-batch runs its own forward.  Both cluster
+updates read the float32 codes of the trace as they are and widen them to
+float64 one member set or row block at a time, so an epoch keeps no
+float64 copy of the codes.
 
 The loss decomposes as j_total = j1 + j2 + j3 with
 
@@ -133,6 +138,7 @@ def train(
         dec_activation = enc_activation
     data = np.asarray(data, dtype=np.float32)
     n = data.shape[0]
+    full_batch = config.batch_size is None or config.batch_size >= n
     params = net.init(dims, enc_activation, dec_activation, config.seed)
     assigned = clusters.init_indicator(n, config.k, config.seed)
     shuffle_rng = substream(config.seed, "shuffle")
@@ -146,9 +152,12 @@ def train(
     # ends the run as a divergence before the indicator solve sees it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs + 1):
-            # full batch: written over the last trace, so no n-row array is
-            # freed to the heap top, trimmed and faulted in again each epoch
-            trace = net.forward(params, data, out=trace)
+            # written over the last trace, so no n-row array is freed to the
+            # heap top, trimmed and faulted in again each epoch
+            if full_batch:
+                trace = net.forward(params, data, out=trace)
+            else:
+                trace = net.encode_decode(params, data, out=trace)
             centers, reseeded = clusters.update_centers(
                 trace.code, assigned, config.k, centers
             )
@@ -176,13 +185,12 @@ def train(
                     break
             prev_total = j_total
             assigned = clusters.update_indicator(trace.code, centers)
-            if config.batch_size is None or config.batch_size >= n:
+            if full_batch:
                 grads = net.backward(
                     params, trace, assigned, centers, config.lambda1, config.lambda2
                 )
                 net.apply_update(params, grads, config.lr)
             else:
-                trace = None  # dropped before any mini-batch forward runs
                 order = shuffle_rng.permutation(n)
                 for start in range(0, n, config.batch_size):
                     idx = order[start : start + config.batch_size]

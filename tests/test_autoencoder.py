@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcidc import gradcheck
+from dcidc import autoencoder, gradcheck
 from dcidc.activations import ActivationKind, derivative
 from dcidc.autoencoder import (
+    FORWARD_BLOCK_ROWS,
     Gradients,
     apply_update,
     backward,
     constraint_deltas,
+    encode_decode,
     forward,
     init,
     mirror_dims,
@@ -20,7 +22,7 @@ from dcidc.autoencoder import (
     validate_dims,
 )
 from dcidc.clusters import init_indicator
-from dcidc.linalg import BLOCK_BYTES, ShapeMismatchError, column_sums
+from dcidc.linalg import BLOCK_BYTES, ShapeMismatchError, column_sums, row_blocks
 
 TANH = ActivationKind.TANH
 
@@ -430,6 +432,54 @@ def test_backward_holds_two_signal_arrays_and_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * n * width * 4 + BLOCK_BYTES + slack
+
+
+ENCODE_NETS = {"200-128-64-32": [200, 128, 64, 32], "16-16": [16, 16],
+               "10-8-6": [10, 8, 6]}
+STEP = FORWARD_BLOCK_ROWS
+# (j, t): n = STEP * j + t rows; j = 0 is a batch below one block
+ENCODE_ROWS = [(0, STEP // 3), (1, 1), (3, 2), (1, 9), (3, 37), (1, 63), (2, STEP - 1)]
+
+
+@pytest.mark.parametrize("encoder", sorted(ENCODE_NETS))
+@pytest.mark.parametrize("j, t", ENCODE_ROWS)
+def test_encode_decode_equals_forward_byte_for_byte(encoder, j, t, monkeypatch):
+    """Row counts just past block multiples, where a tail block would be
+    short; the code and reconstruction are forward's whole-batch bits."""
+    n = STEP * j + t
+    dims = mirror_dims(ENCODE_NETS[encoder])
+    params = init(dims, TANH, ActivationKind.SIGMOID, seed=t)
+    batch = np.random.default_rng(t).uniform(0, 1, size=(n, dims[0])).astype(np.float32)
+    whole = forward(params, batch)
+    calls = []
+
+    def spy(params, batch, out=None):
+        calls.append(batch.shape[0])
+        return forward(params, batch, out=out)
+
+    monkeypatch.setattr(autoencoder, "forward", spy)
+    thin = encode_decode(params, batch)
+    assert len(thin.activations) == 3 and thin.activations[0] is batch
+    for got, want in ((thin.code, whole.code), (thin.reconstruction, whole.reconstruction)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert calls == [r.stop - r.start for r in row_blocks(n, STEP)]
+    assert len(calls) == -(-n // STEP) and min(calls) >= min(n, STEP // 2)
+    again = encode_decode(params, batch, out=thin)
+    assert again.code is thin.code and again.reconstruction is thin.reconstruction
+    assert again.code.tobytes() == whole.code.tobytes()
+
+
+def test_encode_decode_trace_cannot_reach_backward():
+    params, batch, assignments, centers = random_instance(3, mirror_dims([6, 4, 3]), 10, 2)
+    thin = encode_decode(params, batch)
+    with pytest.raises(ShapeMismatchError, match="every layer's output"):
+        backward(params, thin, assignments, centers, 0.3, 3e-4)
+    # with one hidden layer, [input, code, reconstruction] is every layer
+    params, batch, assignments, centers = random_instance(3, mirror_dims([6, 4]), 10, 2)
+    got = backward(params, encode_decode(params, batch), assignments, centers, 0.3, 3e-4)
+    want = backward(params, forward(params, batch), assignments, centers, 0.3, 3e-4)
+    for a, b in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestApplyUpdate:

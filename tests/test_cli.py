@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcidc import __version__, autoencoder, cli, clusters, data
+from dcidc import __version__, artifacts, autoencoder, cli, clusters, data
 from dcidc.artifacts import epoch_csv_line, load_checkpoint
 from dcidc.autoencoder import default_dims, mirror_dims
 from dcidc.cli import main
@@ -314,6 +314,34 @@ class TestReplay:
         assert "blobs.dcmx: fingerprint" in err and "does not match" in err
         assert not copy.exists()
 
+    def test_replay_fingerprints_each_input_once(self, blob_file, tmp_path, capsys,
+                                                 monkeypatch):
+        out = tmp_path / "run"
+        assert main(train_args(blob_file, out)) == 0
+        hashed, sha256_file = [], artifacts.sha256_file
+
+        def counted(path):
+            hashed.append(Path(path).name)
+            return sha256_file(path)
+
+        monkeypatch.setattr(artifacts, "sha256_file", counted)
+        replay = ["replay", str(out / "manifest.json"), "--out-dir"]
+        assert main([*replay, str(tmp_path / "copy")]) == 0
+        assert sorted(hashed) == ["blobs.dcmx", "blobs.labels.csv"]
+        # a data file rewritten after the run is refused before it is parsed
+        hashed.clear()
+        blob_file.write_bytes(blob_file.read_bytes()[:-4] + bytes(4))
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("replay parsed a file whose fingerprint changed")
+
+        monkeypatch.setattr(data, "load", no_parse)
+        changed = tmp_path / "changed"
+        assert main([*replay, str(changed)]) == 2
+        err = capsys.readouterr().err
+        assert "blobs.dcmx: fingerprint" in err and "does not match" in err
+        assert len(hashed) == 2 and not changed.exists()
+
     def test_other_engine_version_exits_2_before_training(
         self, blob_file, tmp_path, capsys, monkeypatch
     ):
@@ -561,6 +589,23 @@ class TestSweep:
         assert capsys.readouterr().err.count("failed") == 2
         assert sweep_rows(out) == [["0", "5", "nan", "nan"], ["0.3", "5", "nan", "nan"]]
         assert [p.name for p in out.iterdir()] == ["sweep.csv"]  # no cell directory
+
+    def test_io_error_in_a_cell_keeps_the_table(self, blob_file, tmp_path, capsys,
+                                                monkeypatch):
+        calls = []
+
+        def full_disk(*args, **kwargs):
+            calls.append(kwargs)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", full_disk)
+        out = tmp_path / "sweep"
+        assert main(sweep_args(blob_file, out, "--grid", "0,0.3")) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert [row[:2] for row in sweep_rows(out)] == [["0", "5"]]
+        assert sorted(p.name for p in out.iterdir()) == ["lambda1=0", "sweep.csv"]
 
     def test_two_sweeps_identical(self, blob_file, tmp_path, capsys):
         extra = ("--epochs", "12", "--seed", "7", "--grid", "0,0.1,0.3,1.0")

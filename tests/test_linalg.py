@@ -9,6 +9,7 @@ from dcidc.linalg import (
     SingularMatrixError,
     column_sums,
     frobenius_sq,
+    row_blocks,
     solve_spd,
 )
 
@@ -134,3 +135,16 @@ def test_operations_deterministic():
     spd = a @ a.T + np.eye(5)
     rhs = rng.normal(size=(5, 2))
     assert np.array_equal(solve_spd(spd, rhs), solve_spd(spd.copy(), rhs.copy()))
+
+
+@given(st.integers(0, 5000), st.integers(1, 600))
+def test_row_blocks_cover_the_rows_with_no_short_block(n, step):
+    """In order and whole, at most step rows each, sizes within one row of
+    each other, so none is shorter than step/2 unless the range is."""
+    blocks = list(row_blocks(n, step))
+    bounds = [0] + [b.stop for b in blocks]
+    assert [b.start for b in blocks] == bounds[:-1] and bounds[-1] == n
+    sizes = [b.stop - b.start for b in blocks]
+    assert len(blocks) == -(-n // step) and all(0 < size <= step for size in sizes)
+    assert not sizes or max(sizes) - min(sizes) <= 1
+    assert len(sizes) < 2 or min(sizes) >= step // 2

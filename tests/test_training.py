@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dcidc import autoencoder, clusters
 from dcidc.activations import ActivationKind
-from dcidc.autoencoder import forward, init, mirror_dims
+from dcidc.autoencoder import FORWARD_BLOCK_ROWS, ForwardTrace, forward, init, mirror_dims
 from dcidc.clusters import ClusterState, init_indicator
 from dcidc.data import normalize, synth_blobs
 from dcidc.training import DivergenceError, TrainConfig, loss_terms, train
@@ -201,6 +203,52 @@ class TestTrain:
             return [a.tobytes() for a in arrays], repr(reports)
 
         assert run_bytes(*fast) == run_bytes(*plain)
+
+    @pytest.mark.parametrize("batch_size", [7, 64, 256])
+    def test_blocked_epoch_forward_leaves_train_byte_identical(self, monkeypatch,
+                                                               batch_size):
+        """Rows enough for three forward blocks, so the codes of an epoch
+        come from several forward calls."""
+        n = 2 * FORWARD_BLOCK_ROWS + 37
+        ds = normalize(synth_blobs(n // 3 + 1, 3, 10, 6.0, 1.0, seed=8))
+        cfg = TrainConfig(k=3, max_epochs=3, seed=8, batch_size=batch_size)
+        dims = mirror_dims([10, 8, 6])
+        blocked = train(ds.features, cfg, dims, labels=ds.labels)
+
+        def whole_batch(params, batch, out=None):
+            trace = forward(params, batch)
+            return ForwardTrace([batch, trace.code, trace.reconstruction])
+
+        monkeypatch.setattr(autoencoder, "encode_decode", whole_batch)
+        whole = train(ds.features, cfg, dims, labels=ds.labels)
+
+        def run_bytes(params, state, reports):
+            arrays = params.weights + params.biases + [state.centers, state.indicator]
+            return [a.tobytes() for a in arrays], repr(reports)
+
+        assert run_bytes(*blocked) == run_bytes(*whole)
+
+    def test_minibatch_epoch_holds_no_whole_data_hidden_layer(self):
+        """At the peak: the codes and the reconstruction of all n rows, one
+        input-sized j1 temporary and one forward block, besides arrays the
+        size of the parameters or of a mini-batch (slack); never a hidden
+        layer of all rows.  The float32 input is made before tracing
+        starts, and train takes it without a copy."""
+        encoder, batch_size, slack = [200, 128, 64, 32], 256, 1024 * 1024
+        n = 8 * FORWARD_BLOCK_ROWS + 3616
+        dims = mirror_dims(encoder)
+        data = np.random.default_rng(9).uniform(0, 1, size=(n, 200)).astype(np.float32)
+        cfg = TrainConfig(k=16, max_epochs=2, seed=9, lr=1e-6, batch_size=batch_size)
+        tracemalloc.start()
+        try:
+            train(data, cfg, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        codes_and_reconstruction = n * (32 + 200) * 4
+        j1_temporary = n * 200 * 4
+        forward_block = FORWARD_BLOCK_ROWS * sum(dims[1:]) * 4
+        assert peak <= codes_and_reconstruction + j1_temporary + forward_block + slack
 
     def test_loss_drops_in_first_epochs_across_seeds(self):
         wins = 0
