@@ -25,13 +25,14 @@ class ActivationKind(enum.Enum):
 
 
 DEFAULT_ACTIVATION = ActivationKind.TANH
+KIND_NAMES = tuple(kind.value for kind in ActivationKind)
 
 
 def parse_kind(name: str) -> ActivationKind:
     try:
         return ActivationKind(name.lower())
     except ValueError:
-        choices = ", ".join(k.value for k in ActivationKind)
+        choices = ", ".join(KIND_NAMES)
         raise ValueError(f"unknown activation {name!r}; choose one of: {choices}")
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .activations import parse_kind
+from .activations import KIND_NAMES, parse_kind
 from .autoencoder import NetworkParams, mirror_dims, validate_dims
 from .data import DataFormatError, dcmx_bytes, labels_path, read_dcmx
 from .training import EpochReport, TrainConfig
@@ -120,6 +120,12 @@ class RunSpec:
                 f"unknown normalize mode {self.normalize!r}; choose one of: "
                 + ", ".join(NORMALIZE_MODES)
             )
+        # the flags' choices, spelled exactly
+        for name, allowed in (("activation", KIND_NAMES),
+                              ("dec_activation", (None, *KIND_NAMES))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; choose one "
+                                 f"of: {', '.join(KIND_NAMES)}")
         if self.dims is not None:
             validate_dims(mirror_dims(self.dims))
         if self.map_shape is not None and not (

@@ -13,16 +13,18 @@ M down to layer 1, started by the reconstruction signal at the output.  The
 loss is linear in its two error signals, so the cluster constraint's signal
 joins the running one at the code layer, formed only when the pass gets
 there.  Activation derivatives are taken from layer outputs, so a forward
-trace keeps only those, and each one scales its signal one row block at a
-time (``linalg.row_blocks``): a pass holds at most two batch-sized signal
-arrays, never a batch-sized derivative.  Cluster
-assignments and centers are constants here, updated elsewhere in closed form.
+trace keeps only those.  Cluster assignments and centers are constants
+here, updated elsewhere in closed form.
 
 A trace is either every layer's output, from ``forward``, which
 ``backward`` needs, or only ``[input, code, reconstruction]``, from
-``encode_decode``: what the loss and the cluster updates read.  The
-latter runs ``forward`` one row block at a time, so a mini-batch epoch
-can take the codes of all samples without holding their hidden layers.
+``encode_decode``: what the loss and the cluster updates read.
+
+Two passes go one row block at a time (``linalg.row_blocks``): each
+activation derivative scales its signal per block, so a backward pass
+holds at most two batch-sized signal arrays, never a batch-sized
+derivative; and ``encode_decode`` runs ``forward`` per block, so a
+mini-batch epoch takes the codes of all samples without their hidden layers.
 
 Parameters are float64 master weights.  A pass computes in the float type of
 its batch: training feeds float32, so the bulk arithmetic runs in float32,
@@ -37,14 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import clusters
 from .activations import ActivationKind, apply, derivative
-from .linalg import ShapeMismatchError, block_rows, column_sums, row_blocks
+from .linalg import BLOCK_ROWS, ShapeMismatchError, column_sums, row_blocks
 from .seeding import substream
-
-# Most rows per forward call in encode_decode: the smallest block whose
-# forward over 20000 x 200 rows (200-128-64-32) was as fast as one call on
-# the whole batch (1024 rows took 8% longer).
-FORWARD_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -179,12 +177,11 @@ def encode_decode(params: NetworkParams, batch: np.ndarray,
                   out: ForwardTrace | None = None) -> ForwardTrace:
     """The trace [batch, code, reconstruction] of batch, with forward's bits.
 
-    forward runs once per row block of at most FORWARD_BLOCK_ROWS and
-    writes each block's code and reconstruction straight into the n-row
-    arrays, so no hidden layer's output is held for more than one block.
-    The blocks are of near-equal size (``linalg.row_blocks``), as no block
-    may be short: a product over a few rows may round otherwise than the
-    whole batch's.  With out (the encode_decode trace of an earlier batch
+    forward runs once per row block (``linalg.row_blocks``) and writes each
+    block's code and reconstruction straight into the n-row arrays, so no
+    hidden layer's output is held for more than one block.  No block is
+    short: a product over a few rows may round otherwise than the whole
+    batch's.  With out (the encode_decode trace of an earlier batch
     of the same shape and type) the n-row arrays are out's.
     """
     n, last, half = batch.shape[0], params.num_layers, params.num_layers // 2
@@ -193,9 +190,9 @@ def encode_decode(params: NetworkParams, batch: np.ndarray,
         out = ForwardTrace([batch, np.empty((n, params.code_dim), dtype),
                             np.empty((n, params.dims[-1]), dtype)])
     # the other layers' outputs for one block, written again by each block
-    hidden = {m: np.empty((min(n, FORWARD_BLOCK_ROWS), params.dims[m]), dtype)
+    hidden = {m: np.empty((min(n, BLOCK_ROWS), params.dims[m]), dtype)
               for m in range(1, last) if m != half}
-    for rows in row_blocks(n, FORWARD_BLOCK_ROWS):
+    for rows in row_blocks(n):
         x, size = batch[rows], rows.stop - rows.start
         layers = [hidden[m][:size] if m in hidden else out.code[rows]
                   for m in range(1, last)]
@@ -208,7 +205,7 @@ def _times_derivative(delta: np.ndarray, kind: ActivationKind,
                       z: np.ndarray) -> np.ndarray:
     """delta *= derivative(kind, z) in place, one row block at a time: the
     product is elementwise, so the bits are those of the whole-array form."""
-    for rows in row_blocks(delta.shape[0], block_rows(delta.shape[1] * delta.itemsize)):
+    for rows in row_blocks(delta.shape[0]):
         block = delta[rows]
         block *= derivative(kind, z[rows])
     return delta
@@ -230,24 +227,11 @@ def constraint_deltas(
     """Backward signal of the intra-class distance term at the code layer.
 
     assignments holds each sample's cluster label.  (code - assigned center)
-    scaled by the activation derivative, N x code width; backward weights it
-    by lambda1.
+    scaled by the activation derivative, N x code width, in the code's type;
+    backward weights it by lambda1.
     """
-    n = trace.activations[0].shape[0]
-    if assignments.shape != (n,):
-        raise ShapeMismatchError(
-            f"constraint_deltas: assignments {assignments.shape} do not match "
-            f"batch size {n}"
-        )
-    if centers.shape[0] != params.code_dim:
-        raise ShapeMismatchError(
-            f"constraint_deltas: centers {centers.shape} do not match code "
-            f"width {params.code_dim}"
-        )
     code = trace.code
-    rows = np.ascontiguousarray(centers.T, dtype=code.dtype)  # one row per cluster
-    delta = np.take(rows, assignments, axis=0)
-    np.subtract(code, delta, out=delta)
+    delta = clusters.residuals(code, assignments, centers, code.dtype)
     return _times_derivative(delta, params.enc_activation, code)
 
 

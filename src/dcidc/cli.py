@@ -26,10 +26,8 @@ import numpy as np
 from . import artifacts as art
 from . import autoencoder as net
 from . import clusters, data, gradcheck, metrics
-from .activations import DEFAULT_ACTIVATION, ActivationKind, parse_kind
+from .activations import DEFAULT_ACTIVATION, KIND_NAMES, parse_kind
 from .training import DivergenceError, EpochReport, TrainConfig, train
-
-KINDS = tuple(kind.value for kind in ActivationKind)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -71,8 +69,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--dims", type=_parse_dims, help="encoder widths incl. input, e.g. "
                    "10,6,2 (default by band count); decoder mirrors")
-    p.add_argument("--activation", default=DEFAULT_ACTIVATION.value, choices=KINDS)
-    p.add_argument("--dec-activation", default=None, choices=KINDS)
+    p.add_argument("--activation", default=DEFAULT_ACTIVATION.value, choices=KIND_NAMES)
+    p.add_argument("--dec-activation", default=None, choices=KIND_NAMES)
     p.add_argument("--lambda2", type=float, default=TrainConfig.lambda2)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--epochs", dest="max_epochs", type=int,
@@ -324,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
     p.add_argument("--dims", type=_parse_dims, default="5,3,2")
-    p.add_argument("--activation", default=DEFAULT_ACTIVATION.value, choices=KINDS)
-    p.add_argument("--dec-activation", default=None, choices=KINDS)
+    p.add_argument("--activation", default=DEFAULT_ACTIVATION.value, choices=KIND_NAMES)
+    p.add_argument("--dec-activation", default=None, choices=KIND_NAMES)
     p.add_argument("--lambda1", type=float, default=TrainConfig.lambda1)
     p.add_argument("--lambda2", type=float, default=TrainConfig.lambda2)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)

@@ -3,8 +3,9 @@
 The cluster state is a center matrix (one column per cluster, living in
 code space) and the indicator H.  H is a one-hot n x k matrix in the math,
 but is stored as its rows' column indices: an int64 vector of n labels in
-[0, k), so H S^T is a gather of center columns.  Given the labels, each
-center is the mean of its member codes.  Given the centers, each sample's
+[0, k), so H S^T is a gather of center columns; ``residuals`` gives the
+codes minus their centers, Z - H S^T, to the loss and the backward pass
+alike.  Given the labels, each center is the mean of its member codes.  Given the centers, each sample's
 label is recomputed by solving the normal equations of a least-squares fit
 of the code against the center columns and taking the largest coefficient
 (ties go to the lowest index).  Note this least-squares rule coincides with
@@ -29,7 +30,6 @@ import numpy as np
 from .linalg import (
     ShapeMismatchError,
     SingularMatrixError,
-    block_rows,
     column_sums,
     frobenius_sq,
     row_blocks,
@@ -122,8 +122,7 @@ def update_indicator(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
             f"numerically collapsed ({exc})"
         ) from exc
     labels = np.empty(codes.shape[0], dtype=np.int64)
-    step = block_rows(8 * max(codes.shape[1], centers.shape[1]))
-    for rows in row_blocks(codes.shape[0], step):
+    for rows in row_blocks(codes.shape[0]):
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = codes[rows].astype(np.float64, copy=False) @ projection.T
         if not np.isfinite(coeffs).all():
@@ -140,20 +139,22 @@ def binarize(rows: np.ndarray) -> np.ndarray:
     return np.argmax(rows, axis=1)
 
 
+def residuals(
+    codes: np.ndarray, labels: np.ndarray, centers: np.ndarray, dtype
+) -> np.ndarray:
+    """Z - H S^T in one fresh array of dtype: each code minus its assigned
+    center.  The centers are cast to dtype before the gather, and codes of
+    a narrower type widen per element in the subtraction."""
+    if labels.shape != (codes.shape[0],) or codes.shape[1] != centers.shape[0]:
+        raise ShapeMismatchError(f"residuals: codes {codes.shape}, labels "
+                                 f"{labels.shape}, centers {centers.shape}")
+    diff = np.take(np.ascontiguousarray(centers.T, dtype=dtype), labels, axis=0)
+    return np.subtract(codes, diff, out=diff)
+
+
 def intra_class_error(
     codes: np.ndarray, labels: np.ndarray, centers: np.ndarray
 ) -> float:
-    """Squared Frobenius distance between the codes and their assigned centers."""
-    if labels.shape != (codes.shape[0],):
-        raise ShapeMismatchError(
-            f"intra_class_error: codes {codes.shape}, labels {labels.shape}"
-        )
-    if codes.shape[1] != centers.shape[0]:
-        raise ShapeMismatchError(
-            f"intra_class_error: code width {codes.shape[1]} vs center "
-            f"dimension {centers.shape[0]}"
-        )
-    diff = np.take(np.ascontiguousarray(centers.T, dtype=np.float64), labels, axis=0)
-    np.subtract(codes, diff, out=diff)  # float32 codes widen per element
-    return frobenius_sq(diff)
+    """Squared Frobenius distance, in float64, of the codes to their centers."""
+    return frobenius_sq(residuals(codes, labels, centers, np.float64))
 

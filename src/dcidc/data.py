@@ -165,7 +165,7 @@ def labels_path(path, labels_file=None) -> Path | None:
 
 def load(path, labels_file=None) -> Dataset:
     """Load a feature file, dcmx if it begins with the dcmx magic bytes and
-    CSV otherwise, and the labels file labels_path picks."""
+    CSV otherwise, and the non-negative labels of the file labels_path picks."""
     path = Path(path)
     with open(path, "rb") as fh:
         is_dcmx = fh.read(len(_MAGIC)) == _MAGIC
@@ -175,6 +175,9 @@ def load(path, labels_file=None) -> Dataset:
     labels, label_path = None, labels_path(path, labels_file)
     if label_path is not None:
         labels = load_label_csv(label_path)
+        if (labels < 0).any():  # named by its line, as a line that is no integer is
+            lineno, text = list(_text_lines(label_path))[np.argmax(labels < 0)]
+            raise DataFormatError(f"{label_path}:{lineno}: negative label {text}")
         if labels.size != features.shape[0]:
             raise DataFormatError(
                 f"{label_path}: {labels.size} labels for {features.shape[0]} rows"

@@ -12,7 +12,7 @@ mini-batch epoch takes the forward of all samples in row blocks
 reconstructions, as each mini-batch runs its own forward.  Both cluster
 updates read the float32 codes of the trace as they are and widen them to
 float64 one member set or row block at a time, so an epoch keeps no
-float64 copy of the codes.
+float64 copy of the codes.  Every row block is cut by ``linalg.row_blocks``.
 
 The loss decomposes as j_total = j1 + j2 + j3 with
 
@@ -200,4 +200,6 @@ def train(
                         config.lambda1, config.lambda2,
                     )
                     net.apply_update(params, grads, config.lr)
+                # the next epoch's forward, cluster step and loss are its peak
+                del order, idx, sub, grads
     return params, state, reports

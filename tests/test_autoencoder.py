@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from dcidc import autoencoder, gradcheck
 from dcidc.activations import ActivationKind, derivative
 from dcidc.autoencoder import (
-    FORWARD_BLOCK_ROWS,
     Gradients,
     apply_update,
     backward,
@@ -22,7 +21,7 @@ from dcidc.autoencoder import (
     validate_dims,
 )
 from dcidc.clusters import init_indicator
-from dcidc.linalg import BLOCK_BYTES, ShapeMismatchError, column_sums, row_blocks
+from dcidc.linalg import BLOCK_ROWS, ShapeMismatchError, column_sums, row_blocks
 
 TANH = ActivationKind.TANH
 
@@ -400,9 +399,8 @@ BLOCKED_NETS = {1: [1, 1, 1], 16: [16, 16, 16, 16, 16], 200: [200, 128, 64, 32]}
 @pytest.mark.parametrize("case", range(4))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_row_blocked_backward_equals_whole_array_oracle(width, case, dtype):
-    """Row counts on both sides of the block boundaries of the widest layer."""
-    block = BLOCK_BYTES // (width * np.dtype(dtype).itemsize)
-    n = [1, block - 1, block, 3 * block + 7][case]
+    """Row counts on both sides of the block boundaries."""
+    n = [1, BLOCK_ROWS - 1, BLOCK_ROWS, 3 * BLOCK_ROWS + 7][case]
     kinds = list(ActivationKind)
     enc, dec = kinds[case], kinds[(case + width) % len(kinds)]
     dims = mirror_dims(BLOCKED_NETS[width])
@@ -431,14 +429,14 @@ def test_backward_holds_two_signal_arrays_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n * width * 4 + BLOCK_BYTES + slack
+    assert peak <= 2 * n * width * 4 + BLOCK_ROWS * width * 4 + slack
 
 
 ENCODE_NETS = {"200-128-64-32": [200, 128, 64, 32], "16-16": [16, 16],
                "10-8-6": [10, 8, 6]}
-STEP = FORWARD_BLOCK_ROWS
-# (j, t): n = STEP * j + t rows; j = 0 is a batch below one block
-ENCODE_ROWS = [(0, STEP // 3), (1, 1), (3, 2), (1, 9), (3, 37), (1, 63), (2, STEP - 1)]
+# (j, t): n = BLOCK_ROWS * j + t rows; j = 0 is a batch below one block
+ENCODE_ROWS = [(0, BLOCK_ROWS // 3), (1, 1), (3, 2), (1, 9), (3, 37), (1, 63),
+               (2, BLOCK_ROWS - 1)]
 
 
 @pytest.mark.parametrize("encoder", sorted(ENCODE_NETS))
@@ -446,7 +444,7 @@ ENCODE_ROWS = [(0, STEP // 3), (1, 1), (3, 2), (1, 9), (3, 37), (1, 63), (2, STE
 def test_encode_decode_equals_forward_byte_for_byte(encoder, j, t, monkeypatch):
     """Row counts just past block multiples, where a tail block would be
     short; the code and reconstruction are forward's whole-batch bits."""
-    n = STEP * j + t
+    n = BLOCK_ROWS * j + t
     dims = mirror_dims(ENCODE_NETS[encoder])
     params = init(dims, TANH, ActivationKind.SIGMOID, seed=t)
     batch = np.random.default_rng(t).uniform(0, 1, size=(n, dims[0])).astype(np.float32)
@@ -462,8 +460,8 @@ def test_encode_decode_equals_forward_byte_for_byte(encoder, j, t, monkeypatch):
     assert len(thin.activations) == 3 and thin.activations[0] is batch
     for got, want in ((thin.code, whole.code), (thin.reconstruction, whole.reconstruction)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert calls == [r.stop - r.start for r in row_blocks(n, STEP)]
-    assert len(calls) == -(-n // STEP) and min(calls) >= min(n, STEP // 2)
+    assert calls == [r.stop - r.start for r in row_blocks(n)]
+    assert len(calls) == -(-n // BLOCK_ROWS) and min(calls) >= min(n, BLOCK_ROWS // 2)
     again = encode_decode(params, batch, out=thin)
     assert again.code is thin.code and again.reconstruction is thin.reconstruction
     assert again.code.tobytes() == whole.code.tobytes()

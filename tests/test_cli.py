@@ -342,6 +342,24 @@ class TestReplay:
         assert "blobs.dcmx: fingerprint" in err and "does not match" in err
         assert len(hashed) == 2 and not changed.exists()
 
+    @pytest.mark.parametrize("field, value", [("activation", "relu"),
+                                              ("activation", "TANH"),
+                                              ("dec_activation", "Sigmoid")])
+    def test_activation_not_a_flag_choice_exits_2_before_reading(
+            self, blob_file, tmp_path, capsys, monkeypatch, field, value):
+        """Spelled exactly as the flags' choices, checked before any input
+        is hashed or parsed."""
+        assert main(train_args(blob_file, tmp_path / "run")) == 0
+        path = tmp_path / "run" / "manifest.json"
+        record = json.loads(path.read_text())
+        record["spec"][field] = value
+        path.write_text(json.dumps(record))
+        monkeypatch.setattr(artifacts, "sha256_file", untouched)
+        monkeypatch.setattr(data, "load", untouched)
+        assert main(["replay", str(path), "--out-dir", str(tmp_path / "copy")]) == 2
+        assert f"unknown {field} {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "copy").exists()
+
     def test_other_engine_version_exits_2_before_training(
         self, blob_file, tmp_path, capsys, monkeypatch
     ):
@@ -785,6 +803,20 @@ def test_out_of_range_config_exits_2_before_reading_data(blob_file, tmp_path, ca
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_negative_label_exits_2_before_training(blob_file, tmp_path, capsys,
+                                                monkeypatch, command):
+    labels = tmp_path / "signed.csv"
+    labels.write_text("\n".join(["-1"] + ["0"] * 89) + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--data", str(blob_file), "--labels", str(labels), "--k", "3",
+            "--dims", "6,4,3", "--epochs", "5", "--out-dir", str(out)]
+    monkeypatch.setattr(autoencoder, "init", untouched)
+    assert main(argv) == 2
+    assert "signed.csv:1: negative label -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -16,7 +16,7 @@ from dcidc.clusters import (
     update_centers,
     update_indicator,
 )
-from dcidc.linalg import BLOCK_BYTES, SingularMatrixError, frobenius_sq, solve_spd
+from dcidc.linalg import BLOCK_ROWS, SingularMatrixError, frobenius_sq, solve_spd
 
 
 def assert_labels(labels, n, k):
@@ -358,12 +358,6 @@ def test_float32_codes_equal_widened_codes(instance, seed):
     assert np.array_equal(update_indicator(codes, centers), expected)
 
 
-def indicator_block_rows(width, k):
-    """Rows of one update_indicator block: a float64 row of the wider of
-    the code and the coefficient arrays."""
-    return BLOCK_BYTES // (8 * max(width, k))
-
-
 @given(
     st.sampled_from([np.float32, np.float64]),
     st.sampled_from(range(4)),
@@ -375,8 +369,7 @@ def indicator_block_rows(width, k):
 def test_row_blocked_indicator_equals_whole_array_product(dtype, case, width, k, seed):
     """Labels taken one row block at a time equal those of one whole-array
     product, at row counts on both sides of the block boundaries."""
-    block = indicator_block_rows(width, k)
-    n = [1, block - 1, block, 3 * block + 7][case]
+    n = [1, BLOCK_ROWS - 1, BLOCK_ROWS, 3 * BLOCK_ROWS + 7][case]
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(width, k))
     codes = rng.normal(size=(n, width)).astype(dtype)
@@ -395,7 +388,7 @@ def test_row_blocked_indicator_equals_whole_array_product(dtype, case, width, k,
 def test_non_finite_code_in_last_block_raises(dtype):
     rng = np.random.default_rng(3)
     centers = rng.normal(size=(16, 9))
-    codes = rng.normal(size=(3 * indicator_block_rows(16, 9) + 7, 16)).astype(dtype)
+    codes = rng.normal(size=(3 * BLOCK_ROWS + 7, 16)).astype(dtype)
     codes[-1, 5] = np.nan
     with pytest.raises(DegenerateCentersError, match="non-finite coefficients"):
         update_indicator(codes, centers)

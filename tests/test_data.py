@@ -217,7 +217,7 @@ class TestCsv:
 
 
 @pytest.mark.parametrize("case", ["dcmx_version_2", "empty_csv", "label_not_integer",
-                                  "dcmx_nan"])
+                                  "dcmx_nan", "label_negative"])
 def test_malformed_input_rejected_naming_file(tmp_path, case):
     path = tmp_path / "f.dcmx"
     if case == "dcmx_version_2":
@@ -233,6 +233,10 @@ def test_malformed_input_rejected_naming_file(tmp_path, case):
         save_dcmx(path, np.ones((2, 2)))
         companion_label_path(path).write_text("0\n1.5\n")
         expected = "f.labels.csv:2: "
+    elif case == "label_negative":  # the blank line counts, as in a parse error
+        save_dcmx(path, np.ones((2, 2)))
+        companion_label_path(path).write_text("0\n\n-1\n")
+        expected = "f.labels.csv:3: negative label -1"
     else:
         save_dcmx(path, np.array([[1.0, np.nan]]))
         expected = "f.dcmx: non-finite feature values"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dcidc import linalg
 from dcidc.linalg import (
+    BLOCK_ROWS,
     ShapeMismatchError,
     SingularMatrixError,
     column_sums,
@@ -137,14 +138,16 @@ def test_operations_deterministic():
     assert np.array_equal(solve_spd(spd, rhs), solve_spd(spd.copy(), rhs.copy()))
 
 
-@given(st.integers(0, 5000), st.integers(1, 600))
-def test_row_blocks_cover_the_rows_with_no_short_block(n, step):
-    """In order and whole, at most step rows each, sizes within one row of
-    each other, so none is shorter than step/2 unless the range is."""
-    blocks = list(row_blocks(n, step))
+@given(st.integers(0, 10 * BLOCK_ROWS))
+def test_row_blocks_cover_the_rows_with_no_short_block(n):
+    """In order and whole, at most BLOCK_ROWS rows each, sizes within one
+    row of each other, so none is shorter than BLOCK_ROWS/2 unless the
+    range is."""
+    blocks = list(row_blocks(n))
     bounds = [0] + [b.stop for b in blocks]
     assert [b.start for b in blocks] == bounds[:-1] and bounds[-1] == n
     sizes = [b.stop - b.start for b in blocks]
-    assert len(blocks) == -(-n // step) and all(0 < size <= step for size in sizes)
+    assert len(blocks) == -(-n // BLOCK_ROWS)
+    assert all(0 < size <= BLOCK_ROWS for size in sizes)
     assert not sizes or max(sizes) - min(sizes) <= 1
-    assert len(sizes) < 2 or min(sizes) >= step // 2
+    assert len(sizes) < 2 or min(sizes) >= BLOCK_ROWS // 2

@@ -5,9 +5,10 @@ import pytest
 
 from dcidc import autoencoder, clusters
 from dcidc.activations import ActivationKind
-from dcidc.autoencoder import FORWARD_BLOCK_ROWS, ForwardTrace, forward, init, mirror_dims
+from dcidc.autoencoder import ForwardTrace, forward, init, mirror_dims
 from dcidc.clusters import ClusterState, init_indicator
 from dcidc.data import normalize, synth_blobs
+from dcidc.linalg import BLOCK_ROWS
 from dcidc.training import DivergenceError, TrainConfig, loss_terms, train
 
 TANH = ActivationKind.TANH
@@ -209,7 +210,7 @@ class TestTrain:
                                                                batch_size):
         """Rows enough for three forward blocks, so the codes of an epoch
         come from several forward calls."""
-        n = 2 * FORWARD_BLOCK_ROWS + 37
+        n = 2 * BLOCK_ROWS + 37
         ds = normalize(synth_blobs(n // 3 + 1, 3, 10, 6.0, 1.0, seed=8))
         cfg = TrainConfig(k=3, max_epochs=3, seed=8, batch_size=batch_size)
         dims = mirror_dims([10, 8, 6])
@@ -235,7 +236,7 @@ class TestTrain:
         layer of all rows.  The float32 input is made before tracing
         starts, and train takes it without a copy."""
         encoder, batch_size, slack = [200, 128, 64, 32], 256, 1024 * 1024
-        n = 8 * FORWARD_BLOCK_ROWS + 3616
+        n = 8 * BLOCK_ROWS + 3616
         dims = mirror_dims(encoder)
         data = np.random.default_rng(9).uniform(0, 1, size=(n, 200)).astype(np.float32)
         cfg = TrainConfig(k=16, max_epochs=2, seed=9, lr=1e-6, batch_size=batch_size)
@@ -247,7 +248,7 @@ class TestTrain:
             tracemalloc.stop()
         codes_and_reconstruction = n * (32 + 200) * 4
         j1_temporary = n * 200 * 4
-        forward_block = FORWARD_BLOCK_ROWS * sum(dims[1:]) * 4
+        forward_block = BLOCK_ROWS * sum(dims[1:]) * 4
         assert peak <= codes_and_reconstruction + j1_temporary + forward_block + slack
 
     def test_loss_drops_in_first_epochs_across_seeds(self):
