@@ -30,35 +30,25 @@ from .activations import DEFAULT_ACTIVATION, KIND_NAMES, parse_kind
 from .training import DivergenceError, EpochReport, TrainConfig, train
 
 
-def _parse_dims(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expects comma-separated integers, got {text!r}") from None
+def _flag_type(convert, expects: str):
+    """An argparse type= that converts a flag's text, or exits 2 saying what
+    the flag expects."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects {expects}, got {text!r}") from None
+    return parse
 
 
-def _parse_batch(text: str) -> int | None:
-    try:
-        return None if text == "full" else int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expects a mini-batch size or 'full', got {text!r}") from None
-
-
-def _parse_map_shape(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.lower().split("x")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects HEIGHTxWIDTH, got {text!r}") from None
-
-
-def _parse_grid(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expects comma-separated numbers, got {text!r}") from None
+_dims = _flag_type(lambda text: [int(tok) for tok in text.split(",")],
+                   "comma-separated integers")
+_batch = _flag_type(lambda text: None if text == "full" else int(text),
+                    "a mini-batch size or 'full'")
+_map_shape = _flag_type(lambda text: [int(tok) for tok in text.lower().split("x")],
+                        "HEIGHTxWIDTH")
+_grid = _flag_type(lambda text: [float(tok) for tok in text.split(",")],
+                   "comma-separated numbers")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -67,7 +57,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True,
                    help="feature file: dcmx if it begins with DCMX, else csv")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--dims", type=_parse_dims, help="encoder widths incl. input, e.g. "
+    p.add_argument("--dims", type=_dims, help="encoder widths incl. input, e.g. "
                    "10,6,2 (default by band count); decoder mirrors")
     p.add_argument("--activation", default=DEFAULT_ACTIVATION.value, choices=KIND_NAMES)
     p.add_argument("--dec-activation", default=None, choices=KIND_NAMES)
@@ -76,7 +66,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", dest="max_epochs", type=int,
                    default=TrainConfig.max_epochs)
     p.add_argument("--tol", type=float, default=TrainConfig.tol)
-    p.add_argument("--batch", dest="batch_size", type=_parse_batch,
+    p.add_argument("--batch", dest="batch_size", type=_batch,
                    default=TrainConfig.batch_size, help="mini-batch size or 'full'")
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--labels", default=None,
@@ -84,7 +74,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--normalize", default="minmax", choices=tuple(art.NORMALIZE_MODES))
     p.add_argument("--mask-unlabeled", action="store_true",
                    help="drop rows labeled 0 and re-index the rest")
-    p.add_argument("--map-shape", type=_parse_map_shape, default=None,
+    p.add_argument("--map-shape", type=_map_shape, default=None,
                    help="HEIGHTxWIDTH of the unmasked image, enables PGM label map;"
                         " needs --mask-unlabeled")
 
@@ -179,7 +169,7 @@ def _write_run(spec: art.RunSpec, ds: data.Dataset, dims, enc, dec, digests,
         )
     labels_out = state.indicator
     data.save_label_csv(out_dir / "labels.csv", labels_out)
-    data.save_dcmx(out_dir / "labels.dcmx", labels_out.reshape(-1, 1).astype(np.float64))
+    data.save_dcmx(out_dir / "labels.dcmx", labels_out.reshape(-1, 1))
     paths = {
         "labels_csv": "labels.csv",
         "labels_dcmx": "labels.dcmx",
@@ -239,9 +229,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    table = metrics.contingency_table(
-        data.load_label_csv(args.predicted), data.load_label_csv(args.truth)
-    )
+    predicted, truth = (metrics.dense_labels(data.load_label_csv(path))
+                        for path in (args.predicted, args.truth))
+    table = metrics.contingency_table(predicted, truth)
     print(f"accuracy {metrics.accuracy(table):.6f}")
     print(f"nmi {metrics.nmi(table):.6f}")
     return 0
@@ -321,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
-    p.add_argument("--dims", type=_parse_dims, default="5,3,2")
+    p.add_argument("--dims", type=_dims, default="5,3,2")
     p.add_argument("--activation", default=DEFAULT_ACTIVATION.value, choices=KIND_NAMES)
     p.add_argument("--dec-activation", default=None, choices=KIND_NAMES)
     p.add_argument("--lambda1", type=float, default=TrainConfig.lambda1)
@@ -340,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="one train run per lambda1 grid value and seed")
     _add_run_flags(p)
-    p.add_argument("--grid", type=_parse_grid, default="0,0.1,0.3,1.0",
+    p.add_argument("--grid", type=_grid, default="0,0.1,0.3,1.0",
                    help="lambda1 values, e.g. 0,0.3")
     p.add_argument("--seeds", type=int, default=1,
                    help="seeds per grid value, counting up from --seed")

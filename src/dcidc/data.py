@@ -11,8 +11,10 @@ dcmx magic bytes is read as dcmx, any other file as CSV, whatever its name:
   precision on first save.
 * CSV: comma-separated decimal floats, one sample per line, no header.
 
-A companion label file (same stem, ``.labels.csv``, one integer per line)
-is picked up automatically when present and no other labels file is given.
+A companion label file (same stem, ``.labels.csv``, one non-negative
+integer per line) is picked up automatically when present and no other
+labels file is given.  A CSV line that does not parse, a negative label
+included, fails naming ``path:line``; blank lines are skipped but counted.
 """
 
 from __future__ import annotations
@@ -99,13 +101,18 @@ def load_dcmx(path) -> np.ndarray:
     return matrix
 
 
-def _text_lines(path):
-    """(line number, stripped text) of each non-blank line of an ASCII file."""
+def _parsed_lines(path, parse):
+    """(line number, parse(stripped text)) of each non-blank line of an ASCII
+    file; a ValueError from parse names the file and line."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    yield lineno, line.strip()
+                    try:
+                        value = parse(line.strip())
+                    except ValueError as exc:
+                        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+                    yield lineno, value
     except UnicodeDecodeError as exc:
         raise DataFormatError(
             f"{path}: not ASCII CSV text (byte 0x{exc.object[exc.start]:02x})"
@@ -114,17 +121,11 @@ def _text_lines(path):
 
 def load_feature_csv(path) -> np.ndarray:
     rows = []
-    width = None
-    for lineno, line in _text_lines(path):
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+    lines = _parsed_lines(path, lambda text: [float(tok) for tok in text.split(",")])
+    for lineno, row in lines:
+        if rows and len(row) != len(rows[0]):
             raise DataFormatError(
-                f"{path}:{lineno}: expected {width} columns, found {len(row)}"
+                f"{path}:{lineno}: expected {len(rows[0])} columns, found {len(row)}"
             )
         if not all(np.isfinite(row)):
             raise DataFormatError(f"{path}:{lineno}: non-finite value")
@@ -134,14 +135,16 @@ def load_feature_csv(path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+def _label(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative label {text}")
+    return value
+
+
 def load_label_csv(path) -> np.ndarray:
-    labels = []
-    for lineno, line in _text_lines(path):
-        try:
-            labels.append(int(line))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(labels, dtype=np.int64)
+    """The non-negative integer labels of a file, one per line."""
+    return np.array([label for _, label in _parsed_lines(path, _label)], dtype=np.int64)
 
 
 def save_label_csv(path, labels) -> None:
@@ -175,9 +178,6 @@ def load(path, labels_file=None) -> Dataset:
     labels, label_path = None, labels_path(path, labels_file)
     if label_path is not None:
         labels = load_label_csv(label_path)
-        if (labels < 0).any():  # named by its line, as a line that is no integer is
-            lineno, text = list(_text_lines(label_path))[np.argmax(labels < 0)]
-            raise DataFormatError(f"{label_path}:{lineno}: negative label {text}")
         if labels.size != features.shape[0]:
             raise DataFormatError(
                 f"{label_path}: {labels.size} labels for {features.shape[0]} rows"

@@ -21,6 +21,12 @@ def _as_labels(values) -> np.ndarray:
     return arr
 
 
+def dense_labels(values) -> np.ndarray:
+    """Labels renumbered 0..c-1 in sorted order, so a contingency_table is
+    sized by the c distinct labels, not the largest; neither metric changes."""
+    return np.unique(_as_labels(values), return_inverse=True)[1]
+
+
 def contingency_table(predicted, truth) -> np.ndarray:
     p = _as_labels(predicted)
     t = _as_labels(truth)

@@ -137,6 +137,8 @@ def train(
     if dec_activation is None:
         dec_activation = enc_activation
     data = np.asarray(data, dtype=np.float32)
+    if labels is not None:  # once, not per epoch: np.unique sorts
+        labels = metrics.dense_labels(labels)
     n = data.shape[0]
     full_batch = config.batch_size is None or config.batch_size >= n
     params = net.init(dims, enc_activation, dec_activation, config.seed)

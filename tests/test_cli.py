@@ -193,7 +193,7 @@ class TestTrain:
         data = image_file(tmp_path)
         out = tmp_path / "run"
         assert main(image_args(data, out, "--map-shape", "3x4")) == 0
-        full = load_label_csv(out / "labels_full.csv")
+        full = np.loadtxt(out / "labels_full.csv", dtype=np.int64)  # -1 is no label
         assert full.size == 12
         assert np.all(full[[0, 3, 8]] == -1)  # background rows stay sentinel
         raw = (out / "label_map.pgm").read_bytes()
@@ -530,6 +530,14 @@ class TestEvaluate:
         save_label_csv(b, [0, 1, 1])
         assert main(["evaluate", str(a), str(b)]) == 2
 
+    @pytest.mark.parametrize("signed", ["predicted", "truth"])
+    def test_negative_label_exits_2_naming_file_and_line(self, tmp_path, capsys, signed):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("predicted", "truth")}
+        for name, path in paths.items():
+            path.write_text("0\n1\n-1\n" if name == signed else "0\n1\n1\n")
+        assert main(["evaluate", str(paths["predicted"]), str(paths["truth"])]) == 2
+        assert f"{signed}.csv:3: negative label -1" in capsys.readouterr().err
+
 
 def sweep_args(data, out_dir, *extra):
     return ["sweep", "--data", str(data), "--k", "3", "--dims", "6,4,3",
@@ -817,6 +825,25 @@ def test_negative_label_exits_2_before_training(blob_file, tmp_path, capsys,
     assert main(argv) == 2
     assert "signed.csv:1: negative label -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_large_label_ids_score_as_their_rank(blob_file, tmp_path, capsys):
+    """Metrics see labels by rank only: class 1 named 10**12 trains and scores
+    as it does named 3, the next free id, with no table sized by the id."""
+    truth = load_label_csv(blob_file.parent / "blobs.labels.csv")
+    logs, scores = [], []
+    for name in (10**12, 3):
+        labels = tmp_path / f"labels{name}.csv"
+        save_label_csv(labels, np.where(truth == 1, name, truth))
+        out = tmp_path / f"run{name}"
+        assert main(train_args(blob_file, out, "--labels", str(labels))) == 0
+        logs.append((out / "epoch_log.csv").read_bytes())
+        capsys.readouterr()
+        assert main(["evaluate", str(out / "labels.csv"), str(labels)]) == 0
+        scores.append(capsys.readouterr().out)
+    assert logs[0] == logs[1]
+    assert scores[0] == scores[1]
+    assert scores[0].startswith("accuracy ")
 
 
 def test_cli_import_loads_no_scipy():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcidc.metrics import accuracy, contingency_table, matched_sum, nmi
+from dcidc.metrics import accuracy, contingency_table, dense_labels, matched_sum, nmi
 
 
 def brute_force_accuracy(predicted, truth):
@@ -54,12 +54,15 @@ labelings = st.integers(4, 12).flatmap(
 )
 
 
-@given(st.integers(1, 30).flatmap(
+sparse_labelings = st.integers(1, 30).flatmap(
     lambda n: st.tuples(
         st.lists(st.integers(0, 6), min_size=n, max_size=n),
         st.lists(st.integers(0, 6), min_size=n, max_size=n),
     )
-))
+)
+
+
+@given(sparse_labelings)
 @example(([0, 3, 3], [2, 0, 2]))  # labels 1 and 2 predicted by none, 1 true of none
 @settings(max_examples=100, deadline=None)
 def test_contingency_matches_add_at(pair):
@@ -70,6 +73,20 @@ def test_contingency_matches_add_at(pair):
     np.add.at(expected, (predicted, truth), 1)
     table = contingency_table(predicted, truth)
     assert table.dtype == np.int64 and np.array_equal(table, expected)
+
+
+@given(sparse_labelings)
+@example(([0, 3, 3], [2, 0, 2]))
+@settings(max_examples=150, deadline=None)
+def test_dense_labels_keep_both_metrics_bit_for_bit(pair):
+    """Renumbering by rank drops only the all-zero rows and columns, which
+    add nothing to the matching or to any entropy sum."""
+    predicted, truth = (np.array(labels) for labels in pair)
+    dense = contingency_table(dense_labels(predicted), dense_labels(truth))
+    table = contingency_table(predicted, truth)
+    assert dense.shape == (len(set(pair[0])), len(set(pair[1])))
+    assert accuracy(dense) == accuracy(table)
+    assert nmi(dense) == nmi(table)
 
 
 tables = st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(0, 40)).flatmap(
