@@ -14,6 +14,7 @@ OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, set before the process starts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shutil
 import sys
@@ -73,7 +74,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="label csv (defaults to <data stem>.labels.csv if present)")
     p.add_argument("--normalize", default="minmax", choices=tuple(art.NORMALIZE_MODES))
     p.add_argument("--mask-unlabeled", action="store_true",
-                   help="drop rows labeled 0 and re-index the rest")
+                   help="drop rows labeled 0")
     p.add_argument("--map-shape", type=_map_shape, default=None,
                    help="HEIGHTxWIDTH of the unmasked image, enables PGM label map;"
                         " needs --mask-unlabeled")
@@ -126,27 +127,6 @@ def _fresh_dir(out_dir) -> Path:
     return out_dir
 
 
-def _run_training(spec: art.RunSpec, out_dir: Path, prepared=None) -> EpochReport:
-    """Train a spec into out_dir, which must be absent or empty; the last report.
-
-    prepared is _prepare(spec), made here unless the caller has it.  The
-    artifacts go to a sibling directory, renamed to out_dir once all are
-    written, so a failed run leaves no out_dir.  A sibling shares out_dir's
-    parent, so the manifest's relative paths hold after the rename.
-    """
-    out_dir = _fresh_dir(out_dir)
-    prepared = _prepare(spec) if prepared is None else prepared
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = out_dir.with_name(f".{out_dir.name}.{uuid.uuid4().hex[:12]}.partial")
-    staging.mkdir()
-    try:
-        final = _write_run(spec, *prepared, staging)
-        os.replace(staging, out_dir)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return final
-
-
 def _print_final(final: EpochReport) -> None:
     line = f"epochs={final.epoch} j_total={final.j_total:.6g}"
     if final.accuracy is not None:
@@ -154,44 +134,63 @@ def _print_final(final: EpochReport) -> None:
     print(line)
 
 
-def _write_run(spec: art.RunSpec, ds: data.Dataset, dims, enc, dec, digests,
-               out_dir: Path) -> EpochReport:
-    """Train and write every artifact of the run into out_dir; the last report."""
-    with open(out_dir / "epoch_log.csv", "w", encoding="ascii") as log:
-        log.write(art.EPOCH_LOG_HEADER + "\n")
+def _run_training(spec: art.RunSpec, out_dir: Path, prepared) -> EpochReport:
+    """Train a spec and write every artifact of the run into out_dir, which
+    _fresh_dir has passed; the last report.  prepared is _prepare(spec).
 
-        def stream(report, params, state):
-            log.write(art.epoch_csv_line(report) + "\n")
-            log.flush()
+    The artifacts go to a sibling directory, renamed to out_dir once all are
+    written, so a failed run leaves no out_dir, and it removes the parents of
+    out_dir that it created.  A sibling shares out_dir's parent, so the
+    manifest's relative paths hold after the rename.
+    """
+    ds, dims, enc, dec, digests = prepared
+    made = [parent for parent in out_dir.parents if not parent.exists()]  # innermost first
+    staging = out_dir.with_name(f".{out_dir.name}.{uuid.uuid4().hex[:12]}.partial")
+    try:
+        staging.mkdir(parents=True)
+        with open(staging / "epoch_log.csv", "w", encoding="ascii") as log:
+            log.write(art.EPOCH_LOG_HEADER + "\n")
 
-        params, state, reports = train(
-            ds.features, spec.config, dims, enc, dec, labels=ds.labels, on_epoch=stream
-        )
-    labels_out = state.indicator
-    data.save_label_csv(out_dir / "labels.csv", labels_out)
-    data.save_dcmx(out_dir / "labels.dcmx", labels_out.reshape(-1, 1))
-    paths = {
-        "labels_csv": "labels.csv",
-        "labels_dcmx": "labels.dcmx",
-        "epoch_log": "epoch_log.csv",
-        "checkpoint": "checkpoint.bin",
-    }
-    if ds.mask is not None:
-        full = data.scatter_labels(labels_out, ds.mask)
-        data.save_label_csv(out_dir / "labels_full.csv", full)
-        paths["labels_full_csv"] = "labels_full.csv"
-        if spec.map_shape is not None:
-            h, w = spec.map_shape
-            grid = np.where(full < 0, 255, full)
-            art.write_pgm(out_dir / "label_map.pgm", grid, w, h)
-            paths["label_map_pgm"] = "label_map.pgm"
-    art.save_checkpoint(out_dir / "checkpoint.bin", params, reports[-1].epoch)
-    art.RunManifest.build(spec, paths, digests).save(out_dir / "manifest.json")
+            def stream(report, params, state):
+                log.write(art.epoch_csv_line(report) + "\n")
+                log.flush()
+
+            params, state, reports = train(ds.features, spec.config, dims, enc, dec,
+                                           labels=ds.labels, on_epoch=stream)
+        labels_out = state.indicator
+        data.save_label_csv(staging / "labels.csv", labels_out)
+        data.save_dcmx(staging / "labels.dcmx", labels_out.reshape(-1, 1))
+        paths = {
+            "labels_csv": "labels.csv",
+            "labels_dcmx": "labels.dcmx",
+            "epoch_log": "epoch_log.csv",
+            "checkpoint": "checkpoint.bin",
+        }
+        if ds.mask is not None:
+            full = data.scatter_labels(labels_out, ds.mask)
+            data.save_label_csv(staging / "labels_full.csv", full)
+            paths["labels_full_csv"] = "labels_full.csv"
+            if spec.map_shape is not None:
+                h, w = spec.map_shape
+                grid = np.where(full < 0, 255, full)
+                art.write_pgm(staging / "label_map.pgm", grid, w, h)
+                paths["label_map_pgm"] = "label_map.pgm"
+        art.save_checkpoint(staging / "checkpoint.bin", params, reports[-1].epoch)
+        art.RunManifest.build(spec, paths, digests).save(staging / "manifest.json")
+        os.replace(staging, out_dir)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        with contextlib.suppress(OSError):  # a parent another process wrote to stays
+            for parent in made:
+                parent.rmdir()
+        raise
     return reports[-1]
 
 
 def cmd_train(args) -> int:
-    _print_final(_run_training(_spec_from_args(args), Path(args.out_dir)))
+    spec = _spec_from_args(args)
+    out_dir = _fresh_dir(args.out_dir)
+    _print_final(_run_training(spec, out_dir, _prepare(spec)))
     return 0
 
 
@@ -266,9 +265,6 @@ def cmd_sweep(args) -> int:
         else:
             finished[name].append((final.accuracy, final.nmi))
             row = f"{lambda1:g},{seed},{final.accuracy:.6f},{final.nmi:.6f}"
-        finally:  # a failed cell leaves no empty lambda1 directory
-            if (out_dir / name).is_dir() and not any((out_dir / name).iterdir()):
-                (out_dir / name).rmdir()
         with open(table, "a", encoding="ascii") as fh:
             fh.write(row + "\n")
     for name, results in finished.items():

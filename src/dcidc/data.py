@@ -11,16 +11,17 @@ dcmx magic bytes is read as dcmx, any other file as CSV, whatever its name:
   precision on first save.
 * CSV: comma-separated decimal floats, one sample per line, no header.
 
-A companion label file (same stem, ``.labels.csv``, one non-negative
-integer per line) is picked up automatically when present and no other
-labels file is given.  A CSV line that does not parse, a negative label
-included, fails naming ``path:line``; blank lines are skipped but counted.
+A companion label file (same stem, ``.labels.csv``, one integer in
+0..2**63-1 per line) is picked up automatically when present and no other
+labels file is given.  A CSV line that does not parse, a label out of that
+range included, fails naming ``path:line``; blank lines are skipped but
+counted.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,6 @@ class Dataset:
     features: np.ndarray                 # n x d, one row per sample
     labels: np.ndarray | None = None     # int labels, length n
     mask: np.ndarray | None = None       # bool per original row: True if kept
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -135,15 +135,20 @@ def load_feature_csv(path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+_LABEL_MAX = np.iinfo(np.int64).max
+
+
 def _label(text: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError(f"negative label {text}")
+    if value > _LABEL_MAX:
+        raise ValueError(f"label {text} is above {_LABEL_MAX}")
     return value
 
 
 def load_label_csv(path) -> np.ndarray:
-    """The non-negative integer labels of a file, one per line."""
+    """The labels of a file, one per line, each an integer in 0..2**63-1."""
     return np.array([label for _, label in _parsed_lines(path, _label)], dtype=np.int64)
 
 
@@ -205,25 +210,18 @@ def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
     safe = np.where(span == 0.0, 1.0, span)
     scaled = (x - offset) / safe
     scaled[:, span == 0.0] = 0.0
-    return Dataset(scaled, labels=dataset.labels, mask=dataset.mask,
-                   meta=dict(dataset.meta))
+    return Dataset(scaled, labels=dataset.labels, mask=dataset.mask)
 
 
 def mask_unlabeled(dataset: Dataset) -> Dataset:
-    """Drop rows labeled 0 (background) and re-index the remaining labels
-    densely; the mask marks the surviving rows among the original ones."""
+    """Drop rows labeled 0 (background); the kept rows keep their label ids,
+    and the mask marks them among the original rows."""
     if dataset.labels is None:
         raise ValueError("mask_unlabeled needs labels")
     keep = dataset.labels != 0
     if not keep.any():
         raise ValueError("mask_unlabeled would remove every row")
-    _, dense = np.unique(dataset.labels[keep], return_inverse=True)
-    return Dataset(
-        dataset.features[keep],
-        labels=dense.astype(np.int64),
-        mask=keep,
-        meta=dict(dataset.meta),
-    )
+    return Dataset(dataset.features[keep], labels=dataset.labels[keep], mask=keep)
 
 
 def scatter_labels(labels, mask) -> np.ndarray:
@@ -277,8 +275,4 @@ def synth_blobs(
     points = centers[labels] + noise_sigma * rng.standard_normal(
         (k * n_per_cluster, dim)
     )
-    return Dataset(
-        points,
-        labels=labels,
-        meta={"centers": centers.tolist()},
-    )
+    return Dataset(points, labels=labels)

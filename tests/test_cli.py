@@ -46,11 +46,13 @@ def image_file(directory):
 
 @pytest.fixture()
 def scene(tmp_path):
-    """A 75-pixel, 8-band CSV whose 15 background pixels (class 0) are noise."""
+    """A 75-pixel, 8-band CSV whose 15 background pixels (class 0) are noise;
+    the three classes have the non-consecutive ids 3, 7 and 12."""
     blobs = synth_blobs(20, 3, 8, 6.0, 1.0, seed=4)
     rng = np.random.default_rng(4)
     features = np.vstack([blobs.features, rng.uniform(0, 12, size=(15, 8))])
-    labels = np.concatenate([blobs.labels + 1, np.zeros(15, dtype=np.int64)])
+    labels = np.concatenate([np.array([3, 7, 12])[blobs.labels],
+                             np.zeros(15, dtype=np.int64)])
     order = rng.permutation(len(labels))
     path = tmp_path / "scene.csv"
     rows = features[order].tolist()
@@ -207,6 +209,14 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["blobs.dcmx", "blobs.labels.csv"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_run_leaves_no_parent_it_created(self, blob_file, tmp_path, capsys):
+        (tmp_path / "nest").mkdir()
+        out = tmp_path / "nest" / "deeper" / "run"
+        assert main(train_args(blob_file, out, "--lr", "1e300", "--lambda2", "1")) == 1
+        assert "diverged" in capsys.readouterr().err
+        assert list((tmp_path / "nest").iterdir()) == []  # nest was there before
 
     def test_nonempty_out_dir_rejected_before_training(self, blob_file, tmp_path,
                                                        capsys):
@@ -538,6 +548,13 @@ class TestEvaluate:
         assert main(["evaluate", str(paths["predicted"]), str(paths["truth"])]) == 2
         assert f"{signed}.csv:3: negative label -1" in capsys.readouterr().err
 
+    def test_label_above_int64_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("0\n1\n")
+        b.write_text("0\n99999999999999999999\n")
+        assert main(["evaluate", str(a), str(b)]) == 2
+        assert "b.csv:2: label 99999999999999999999 is above" in capsys.readouterr().err
+
 
 def sweep_args(data, out_dir, *extra):
     return ["sweep", "--data", str(data), "--k", "3", "--dims", "6,4,3",
@@ -825,6 +842,17 @@ def test_negative_label_exits_2_before_training(blob_file, tmp_path, capsys,
     assert main(argv) == 2
     assert "signed.csv:1: negative label -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_label_above_int64_exits_2_before_training(blob_file, tmp_path, capsys,
+                                                   monkeypatch):
+    labels = tmp_path / "huge.csv"
+    labels.write_text("\n".join(["0", str(2**64)] + ["1"] * 88) + "\n")
+    out = tmp_path / "nest" / "out"
+    monkeypatch.setattr(autoencoder, "init", untouched)
+    assert main(train_args(blob_file, out, "--labels", str(labels))) == 2
+    assert f"huge.csv:2: label {2**64} is above" in capsys.readouterr().err
+    assert not (tmp_path / "nest").exists()
 
 
 def test_large_label_ids_score_as_their_rank(blob_file, tmp_path, capsys):

@@ -217,7 +217,7 @@ class TestCsv:
 
 
 @pytest.mark.parametrize("case", ["dcmx_version_2", "empty_csv", "label_not_integer",
-                                  "dcmx_nan", "label_negative"])
+                                  "dcmx_nan", "label_negative", "label_above_int64"])
 def test_malformed_input_rejected_naming_file(tmp_path, case):
     path = tmp_path / "f.dcmx"
     if case == "dcmx_version_2":
@@ -237,6 +237,10 @@ def test_malformed_input_rejected_naming_file(tmp_path, case):
         save_dcmx(path, np.ones((2, 2)))
         companion_label_path(path).write_text("0\n\n-1\n")
         expected = "f.labels.csv:3: negative label -1"
+    elif case == "label_above_int64":
+        save_dcmx(path, np.ones((2, 2)))
+        companion_label_path(path).write_text("0\n9223372036854775808\n")
+        expected = "f.labels.csv:2: label 9223372036854775808 is above 9223372036854775807"
     else:
         save_dcmx(path, np.array([[1.0, np.nan]]))
         expected = "f.dcmx: non-finite feature values"
@@ -288,18 +292,18 @@ class TestNormalize:
 
 
 class TestMaskUnlabeled:
-    def test_filter_and_densify(self):
+    def test_filter_keeps_label_ids(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), labels=np.array([0, 1, 0, 2]))
         out = mask_unlabeled(ds)
         assert np.array_equal(out.features, [[2.0, 3.0], [6.0, 7.0]])
-        assert np.array_equal(out.labels, [0, 1])
+        assert np.array_equal(out.labels, [1, 2])
         assert np.array_equal(np.flatnonzero(out.mask), [1, 3])
 
     def test_no_zeros_keeps_rows(self):
         ds = Dataset(np.arange(6.0).reshape(3, 2), labels=np.array([4, 2, 4]))
         out = mask_unlabeled(ds)
         assert np.array_equal(out.features, ds.features)
-        assert np.array_equal(out.labels, [1, 0, 1])
+        assert np.array_equal(out.labels, [4, 2, 4])
 
     def test_all_removed_is_error(self):
         ds = Dataset(np.ones((2, 2)), labels=np.zeros(2, dtype=np.int64))
@@ -320,11 +324,22 @@ class TestMaskUnlabeled:
         assert np.array_equal(full[np.flatnonzero(out.mask)], predicted)
 
 
+def blob_centers(n_per_cluster, k, dim, separation, seed):
+    """The k centers synth_blobs draws for these settings: the centers are
+    drawn before the noise, so a noise-0 draw puts every point on one."""
+    ds = synth_blobs(n_per_cluster, k, dim, separation, 0.0, seed)
+    return ds.features[::n_per_cluster]
+
+
 class TestSynthBlobs:
     def test_zero_noise_puts_points_on_centers(self):
         ds = synth_blobs(5, 3, 4, 2.0, 0.0, seed=0)
-        centers = np.asarray(ds.meta["centers"])
+        centers = blob_centers(5, 3, 4, 2.0, seed=0)
         assert np.array_equal(ds.features, centers[ds.labels])
+        assert len(np.unique(centers, axis=0)) == 3
+        # with noise, the same seed scatters the points about the same centers
+        noisy = synth_blobs(5, 3, 4, 2.0, 0.5, seed=0)
+        assert 0.35 < np.std(noisy.features - centers[noisy.labels]) < 0.65
 
     def test_deterministic(self):
         a = synth_blobs(10, 3, 6, 4.0, 1.0, seed=3)
@@ -334,14 +349,13 @@ class TestSynthBlobs:
 
     def test_wide_separation_nearest_center_oracle(self):
         ds = synth_blobs(100, 4, 5, 10.0, 1.0, seed=1)
-        centers = np.asarray(ds.meta["centers"])
+        centers = blob_centers(100, 4, 5, 10.0, seed=1)
         dist = ((ds.features[:, None, :] - centers[None]) ** 2).sum(axis=2)
         nearest = np.argmin(dist, axis=1)
         assert (nearest == ds.labels).mean() >= 0.999
 
     def test_minimum_separation_holds(self):
-        ds = synth_blobs(2, 5, 3, 3.0, 0.5, seed=2)
-        centers = np.asarray(ds.meta["centers"])
+        centers = blob_centers(2, 5, 3, 3.0, seed=2)
         diff = centers[:, None, :] - centers[None]
         dist = np.sqrt((diff**2).sum(axis=2))
         dist[np.diag_indices(5)] = np.inf
