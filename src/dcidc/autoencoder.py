@@ -16,15 +16,17 @@ there.  Activation derivatives are taken from layer outputs, so a forward
 trace keeps only those.  Cluster assignments and centers are constants
 here, updated elsewhere in closed form.
 
-A trace is either every layer's output, from ``forward``, which
-``backward`` needs, or only ``[input, code, reconstruction]``, from
-``encode_decode``: what the loss and the cluster updates read.
+A trace, from ``forward``, is every layer's output: what ``backward``
+needs.  ``encode`` keeps only the codes and the summed squared
+reconstruction error: what the cluster updates and the loss read.
 
-Two passes go one row block at a time (``linalg.row_blocks``): each
+Three passes go one row block at a time (``linalg.row_blocks``): each
 activation derivative scales its signal per block, so a backward pass
 holds at most two batch-sized signal arrays, never a batch-sized
-derivative; and ``encode_decode`` runs ``forward`` per block, so a
-mini-batch epoch takes the codes of all samples without their hidden layers.
+derivative; ``encode`` runs ``forward`` per block, so a mini-batch epoch
+takes the codes of all samples without their other layers; and
+``squared_error`` adds one float64 partial sum per block, as ``encode``
+does, so a whole trace and ``encode`` give the same bits.
 
 Parameters are float64 master weights.  A pass computes in the float type of
 its batch: training feeds float32, so the bulk arithmetic runs in float32,
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import clusters
 from .activations import ActivationKind, apply, derivative
-from .linalg import BLOCK_ROWS, ShapeMismatchError, column_sums, row_blocks
+from .linalg import BLOCK_ROWS, ShapeMismatchError, column_sums, frobenius_sq, row_blocks
 from .seeding import substream
 
 
@@ -74,13 +76,10 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """Layer outputs for one batch: every layer's, or only the code's and
-    the reconstruction's.
+    """Every layer's output for one batch, from forward.
 
-    activations[0] is the input batch.  A trace from forward holds the
-    output of every layer m at activations[m]; one from encode_decode
-    holds [input, code, reconstruction], which is all a loss or a cluster
-    update reads, but not enough for backward.
+    activations[0] is the input batch and activations[m] the output of
+    layer m, so the code sits in the middle and the reconstruction last.
     """
 
     activations: list[np.ndarray]
@@ -173,32 +172,49 @@ def forward(params: NetworkParams, batch: np.ndarray,
     return ForwardTrace(acts)
 
 
-def encode_decode(params: NetworkParams, batch: np.ndarray,
-                  out: ForwardTrace | None = None) -> ForwardTrace:
-    """The trace [batch, code, reconstruction] of batch, with forward's bits.
+def encode(params: NetworkParams, batch: np.ndarray,
+           out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """The codes of batch, with forward's bits, and ``squared_error`` of
+    batch and its reconstruction, with the bits of a whole trace's.
 
     forward runs once per row block (``linalg.row_blocks``) and writes each
-    block's code and reconstruction straight into the n-row arrays, so no
-    hidden layer's output is held for more than one block.  No block is
-    short: a product over a few rows may round otherwise than the whole
-    batch's.  With out (the encode_decode trace of an earlier batch
-    of the same shape and type) the n-row arrays are out's.
+    block's code straight into the n-row array: out (the codes of an
+    earlier batch of the same shape and type) or a fresh one.  Every other
+    layer's output, the reconstruction included, is held for one block
+    only; the block's squared error is summed while it is in cache.  No
+    block is short: a product over a few rows may round otherwise than
+    the whole batch's.
     """
     n, last, half = batch.shape[0], params.num_layers, params.num_layers // 2
     dtype = np.result_type(batch.dtype, np.float32)
-    if out is None:
-        out = ForwardTrace([batch, np.empty((n, params.code_dim), dtype),
-                            np.empty((n, params.dims[-1]), dtype)])
+    codes = np.empty((n, params.code_dim), dtype) if out is None else out
     # the other layers' outputs for one block, written again by each block
     hidden = {m: np.empty((min(n, BLOCK_ROWS), params.dims[m]), dtype)
-              for m in range(1, last) if m != half}
+              for m in range(1, last + 1) if m != half}
+    error = 0.0
     for rows in row_blocks(n):
         x, size = batch[rows], rows.stop - rows.start
-        layers = [hidden[m][:size] if m in hidden else out.code[rows]
-                  for m in range(1, last)]
+        layers = [hidden[m][:size] if m in hidden else codes[rows]
+                  for m in range(1, last + 1)]
         # called by its module name, so a wrapper of forward sees every block
-        forward(params, x, out=ForwardTrace([x, *layers, out.reconstruction[rows]]))
-    return ForwardTrace([batch, out.code, out.reconstruction])
+        forward(params, x, out=ForwardTrace([x, *layers]))
+        # squared_error's block sum, formed over the reconstruction block
+        error += frobenius_sq(np.subtract(x, layers[-1], out=layers[-1]))
+    return codes, error
+
+
+def squared_error(x: np.ndarray, y: np.ndarray) -> float:
+    """Sum of (x - y)**2 in float64: one partial sum per row block
+    (``linalg.row_blocks``), added in row order, each block's difference
+    formed in one block-sized buffer in the type of x - y."""
+    if x.shape != y.shape:
+        raise ShapeMismatchError(f"squared_error: {x.shape} vs {y.shape}")
+    buffer = np.empty((min(x.shape[0], BLOCK_ROWS), x.shape[1]), np.result_type(x, y))
+    error = 0.0
+    for rows in row_blocks(x.shape[0]):
+        diff = np.subtract(x[rows], y[rows], out=buffer[:rows.stop - rows.start])
+        error += frobenius_sq(diff)
+    return error
 
 
 def _times_derivative(delta: np.ndarray, kind: ActivationKind,

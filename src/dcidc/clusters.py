@@ -18,7 +18,9 @@ the k x k matrix S^T S, solves once for the projection
 P = (S^T S)^-1 S^T and labels the codes by the product Z P^T, taken one
 row block at a time (``linalg.row_blocks``): each block of codes is
 widened to float64, since a float32-by-float64 matrix product skips BLAS,
-and only its labels are kept, so no n-row float64 array is formed.
+and only its labels are kept, so no n-row float64 array is formed.  The
+intra-class error goes by the same blocks: it adds each block's float64
+partial sum, as ``autoencoder.squared_error`` does for the reconstruction.
 """
 
 from __future__ import annotations
@@ -155,6 +157,14 @@ def residuals(
 def intra_class_error(
     codes: np.ndarray, labels: np.ndarray, centers: np.ndarray
 ) -> float:
-    """Squared Frobenius distance, in float64, of the codes to their centers."""
-    return frobenius_sq(residuals(codes, labels, centers, np.float64))
+    """Squared Frobenius distance, in float64, of the codes to their centers:
+    one partial sum per row block (``linalg.row_blocks``), added in row
+    order, so the residuals of one block are held at a time."""
+    if labels.shape != (codes.shape[0],):
+        raise ShapeMismatchError(f"intra_class_error: codes {codes.shape}, "
+                                 f"labels {labels.shape}")
+    error = 0.0
+    for rows in row_blocks(codes.shape[0]):
+        error += frobenius_sq(residuals(codes[rows], labels[rows], centers, np.float64))
+    return error
 

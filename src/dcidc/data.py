@@ -15,7 +15,8 @@ A companion label file (same stem, ``.labels.csv``, one integer in
 0..2**63-1 per line) is picked up automatically when present and no other
 labels file is given.  A CSV line that does not parse, a label out of that
 range included, fails naming ``path:line``; blank lines are skipped but
-counted.
+counted.  Numbers are plain decimal text: Python's digit-group underscores
+(``1_0``) fail as a parse error does.
 """
 
 from __future__ import annotations
@@ -103,13 +104,17 @@ def load_dcmx(path) -> np.ndarray:
 
 def _parsed_lines(path, parse):
     """(line number, parse(stripped text)) of each non-blank line of an ASCII
-    file; a ValueError from parse names the file and line."""
+    file; a ValueError from parse, or an underscore anywhere in the line,
+    fails naming the file and line."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if line.strip():
+                text = line.strip()
+                if text:
                     try:
-                        value = parse(line.strip())
+                        if "_" in text:  # int() and float() skip digit-group underscores
+                            raise ValueError(f"digit-group underscore in {text!r}")
+                        value = parse(text)
                     except ValueError as exc:
                         raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
                     yield lineno, value
@@ -194,7 +199,10 @@ def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
     """Per-column rescaling.
 
     minmax maps each column to [0, 1]; zscore to zero mean and unit
-    variance.  Constant columns map to all zeros under either mode.
+    variance.  Constant columns map to all zeros under either mode.  The
+    result is one fresh array: the offset is subtracted into it and the
+    span divided out in place, so no other array of the data's size is
+    held beside it.
     """
     x = dataset.features
     if mode == "minmax_per_band":
@@ -208,7 +216,8 @@ def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
             f"unknown mode {mode!r}, expected 'minmax_per_band' or 'zscore_per_band'"
         )
     safe = np.where(span == 0.0, 1.0, span)
-    scaled = (x - offset) / safe
+    scaled = np.subtract(x, offset)
+    scaled /= safe
     scaled[:, span == 0.0] = 0.0
     return Dataset(scaled, labels=dataset.labels, mask=dataset.mask)
 

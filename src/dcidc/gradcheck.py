@@ -28,7 +28,8 @@ def total_loss(
 ) -> float:
     trace = net.forward(params, batch)
     state = ClusterState(centers, assignments)
-    return loss_terms(params, trace, state, lambda1, lambda2)[0]
+    error = net.squared_error(batch, trace.reconstruction)
+    return loss_terms(params, error, trace.code, state, lambda1, lambda2)[0]
 
 
 def numeric_gradients(

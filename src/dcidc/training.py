@@ -8,17 +8,22 @@ on every weight and bias, or one per mini-batch of the shuffled samples.
 Assignments and centers are constants inside the gradient steps.  A full
 batch keeps every layer's output of the forward for its backward pass; a
 mini-batch epoch takes the forward of all samples in row blocks
-(``autoencoder.encode_decode``) and keeps only their codes and
-reconstructions, as each mini-batch runs its own forward.  Both cluster
-updates read the float32 codes of the trace as they are and widen them to
-float64 one member set or row block at a time, so an epoch keeps no
-float64 copy of the codes.  Every row block is cut by ``linalg.row_blocks``.
+(``autoencoder.encode``) and keeps only their codes and the float64 sum
+of squared reconstruction errors, as each mini-batch runs its own
+forward.  Both cluster updates read the float32 codes as they are and
+widen them to float64 one member set or row block at a time, so an epoch
+keeps no float64 copy of the codes.  Every row block is cut by
+``linalg.row_blocks``.
 
 The loss decomposes as j_total = j1 + j2 + j3 with
 
     j1 = 1/2 * sum of squared reconstruction errors
     j2 = lambda1/2 * sum of squared code-to-center distances
     j3 = lambda2/2 * (squared norms of all weights and biases)
+
+The sums of j1 and j2 add one float64 partial sum per row block, so a
+full-batch and a mini-batch epoch give j1 the same bits for the same
+parameters.
 
 Gradients are summed (not averaged) over the batch, so the learning rate
 should be chosen relative to the sample count; the default 1e-3 suits the
@@ -96,16 +101,16 @@ class EpochReport:
 
 def loss_terms(
     params: net.NetworkParams,
-    trace: net.ForwardTrace,
+    squared_error: float,
+    codes: np.ndarray,
     state: clusters.ClusterState,
     lambda1: float,
     lambda2: float,
 ) -> tuple[float, float, float, float]:
-    """(j_total, j1, j2, j3) for one batch under the half-scaled convention."""
-    j1 = 0.5 * frobenius_sq(trace.activations[0] - trace.reconstruction)
-    j2 = 0.5 * lambda1 * clusters.intra_class_error(
-        trace.code, state.indicator, state.centers
-    )
+    """(j_total, j1, j2, j3) for one batch under the half-scaled convention,
+    given the batch's summed squared reconstruction error and its codes."""
+    j1 = 0.5 * squared_error
+    j2 = 0.5 * lambda1 * clusters.intra_class_error(codes, state.indicator, state.centers)
     j3 = 0.5 * lambda2 * (
         sum(frobenius_sq(w) for w in params.weights)
         + sum(float(b @ b) for b in params.biases)
@@ -145,7 +150,7 @@ def train(
     assigned = clusters.init_indicator(n, config.k, config.seed)
     shuffle_rng = substream(config.seed, "shuffle")
     centers = None
-    trace = None
+    trace = codes = None
     reports: list[EpochReport] = []
     prev_total = None
     flat_epochs = 0
@@ -154,18 +159,18 @@ def train(
     # ends the run as a divergence before the indicator solve sees it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs + 1):
-            # written over the last trace, so no n-row array is freed to the
-            # heap top, trimmed and faulted in again each epoch
+            # written over the last trace or codes, so no n-row array is
+            # freed to the heap top, trimmed and faulted in again each epoch
             if full_batch:
                 trace = net.forward(params, data, out=trace)
+                codes = trace.code
+                error = net.squared_error(data, trace.reconstruction)
             else:
-                trace = net.encode_decode(params, data, out=trace)
-            centers, reseeded = clusters.update_centers(
-                trace.code, assigned, config.k, centers
-            )
+                codes, error = net.encode(params, data, out=codes)
+            centers, reseeded = clusters.update_centers(codes, assigned, config.k, centers)
             state = clusters.ClusterState(centers, assigned)
             j_total, j1, j2, j3 = loss_terms(
-                params, trace, state, config.lambda1, config.lambda2
+                params, error, codes, state, config.lambda1, config.lambda2
             )
             if not math.isfinite(j_total):
                 raise DivergenceError(epoch, j_total)
@@ -186,7 +191,7 @@ def train(
                 if flat_epochs >= CONVERGENCE_WINDOW:
                     break
             prev_total = j_total
-            assigned = clusters.update_indicator(trace.code, centers)
+            assigned = clusters.update_indicator(codes, centers)
             if full_batch:
                 grads = net.backward(
                     params, trace, assigned, centers, config.lambda1, config.lambda2

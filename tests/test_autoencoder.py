@@ -9,15 +9,17 @@ from hypothesis.extra.numpy import arrays
 from dcidc import autoencoder, gradcheck
 from dcidc.activations import ActivationKind, derivative
 from dcidc.autoencoder import (
+    ForwardTrace,
     Gradients,
     apply_update,
     backward,
     constraint_deltas,
-    encode_decode,
+    encode,
     forward,
     init,
     mirror_dims,
     reconstruction_deltas,
+    squared_error,
     validate_dims,
 )
 from dcidc.clusters import init_indicator
@@ -443,7 +445,8 @@ ENCODE_ROWS = [(0, BLOCK_ROWS // 3), (1, 1), (3, 2), (1, 9), (3, 37), (1, 63),
 @pytest.mark.parametrize("j, t", ENCODE_ROWS)
 def test_encode_decode_equals_forward_byte_for_byte(encoder, j, t, monkeypatch):
     """Row counts just past block multiples, where a tail block would be
-    short; the code and reconstruction are forward's whole-batch bits."""
+    short; encode's codes are forward's whole-batch bits, and its squared
+    error is squared_error's on the whole batch's reconstruction."""
     n = BLOCK_ROWS * j + t
     dims = mirror_dims(ENCODE_NETS[encoder])
     params = init(dims, TANH, ActivationKind.SIGMOID, seed=t)
@@ -456,26 +459,30 @@ def test_encode_decode_equals_forward_byte_for_byte(encoder, j, t, monkeypatch):
         return forward(params, batch, out=out)
 
     monkeypatch.setattr(autoencoder, "forward", spy)
-    thin = encode_decode(params, batch)
-    assert len(thin.activations) == 3 and thin.activations[0] is batch
-    for got, want in ((thin.code, whole.code), (thin.reconstruction, whole.reconstruction)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    codes, error = encode(params, batch)
+    assert codes.dtype == whole.code.dtype and codes.tobytes() == whole.code.tobytes()
+    assert error == squared_error(batch, whole.reconstruction)
     assert calls == [r.stop - r.start for r in row_blocks(n)]
     assert len(calls) == -(-n // BLOCK_ROWS) and min(calls) >= min(n, BLOCK_ROWS // 2)
-    again = encode_decode(params, batch, out=thin)
-    assert again.code is thin.code and again.reconstruction is thin.reconstruction
-    assert again.code.tobytes() == whole.code.tobytes()
+    again, again_error = encode(params, batch, out=codes)
+    assert again is codes and again_error == error
+    assert again.tobytes() == whole.code.tobytes()
 
 
 def test_encode_decode_trace_cannot_reach_backward():
+    """backward refuses a trace of only [input, code, reconstruction]; with
+    one hidden layer that is every layer, and encode's codes are its code."""
     params, batch, assignments, centers = random_instance(3, mirror_dims([6, 4, 3]), 10, 2)
-    thin = encode_decode(params, batch)
+    whole = forward(params, batch)
+    thin = ForwardTrace([batch, whole.code, whole.reconstruction])
     with pytest.raises(ShapeMismatchError, match="every layer's output"):
         backward(params, thin, assignments, centers, 0.3, 3e-4)
-    # with one hidden layer, [input, code, reconstruction] is every layer
     params, batch, assignments, centers = random_instance(3, mirror_dims([6, 4]), 10, 2)
-    got = backward(params, encode_decode(params, batch), assignments, centers, 0.3, 3e-4)
-    want = backward(params, forward(params, batch), assignments, centers, 0.3, 3e-4)
+    whole = forward(params, batch)
+    codes, _ = encode(params, batch)
+    thin = ForwardTrace([batch, codes, whole.reconstruction])
+    got = backward(params, thin, assignments, centers, 0.3, 3e-4)
+    want = backward(params, whole, assignments, centers, 0.3, 3e-4)
     for a, b in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
         assert a.tobytes() == b.tobytes()
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,7 +218,8 @@ class TestCsv:
 
 
 @pytest.mark.parametrize("case", ["dcmx_version_2", "empty_csv", "label_not_integer",
-                                  "dcmx_nan", "label_negative", "label_above_int64"])
+                                  "dcmx_nan", "label_negative", "label_above_int64",
+                                  "label_underscore", "feature_underscore"])
 def test_malformed_input_rejected_naming_file(tmp_path, case):
     path = tmp_path / "f.dcmx"
     if case == "dcmx_version_2":
@@ -241,6 +243,14 @@ def test_malformed_input_rejected_naming_file(tmp_path, case):
         save_dcmx(path, np.ones((2, 2)))
         companion_label_path(path).write_text("0\n9223372036854775808\n")
         expected = "f.labels.csv:2: label 9223372036854775808 is above 9223372036854775807"
+    elif case == "label_underscore":  # int() would read 10
+        save_dcmx(path, np.ones((2, 2)))
+        companion_label_path(path).write_text("0\n1_0\n")
+        expected = "f.labels.csv:2: digit-group underscore in '1_0'"
+    elif case == "feature_underscore":  # float() would read 10.5
+        path = tmp_path / "f.csv"
+        path.write_text("1,2\n1_0.5,3\n")
+        expected = "f.csv:2: digit-group underscore in '1_0.5,3'"
     else:
         save_dcmx(path, np.array([[1.0, np.nan]]))
         expected = "f.dcmx: non-finite feature values"
@@ -289,6 +299,26 @@ class TestNormalize:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             normalize(Dataset(np.ones((2, 2))), "other")
+
+    @pytest.mark.parametrize("mode", ["minmax_per_band", "zscore_per_band"])
+    def test_holds_only_its_output_array(self, mode):
+        """Besides the result, only per-band vectors and Python objects
+        (slack), never a second array of the data's size."""
+        n, bands, slack = 4000, 50, 128 * 1024
+        features = np.random.default_rng(4).normal(size=(n, bands))
+        features[:, 3] = 1.0  # a constant band
+        tracemalloc.start()
+        try:
+            out = normalize(Dataset(features), mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * bands * 8 + slack
+        offset = features.min(axis=0) if mode == "minmax_per_band" else features.mean(axis=0)
+        span = np.ptp(features, axis=0) if mode == "minmax_per_band" else features.std(axis=0)
+        want = (features - offset) / np.where(span == 0.0, 1.0, span)
+        want[:, 3] = 0.0
+        assert out.features.tobytes() == want.tobytes()
 
 
 class TestMaskUnlabeled:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from dcidc import autoencoder, clusters
 from dcidc.activations import ActivationKind
-from dcidc.autoencoder import ForwardTrace, forward, init, mirror_dims
+from dcidc.autoencoder import forward, init, mirror_dims, squared_error
 from dcidc.clusters import ClusterState, init_indicator
 from dcidc.data import normalize, synth_blobs
 from dcidc.linalg import BLOCK_ROWS
@@ -36,6 +37,12 @@ def scalar_loss_terms(params, trace, labels, centers, lam1, lam2):
     return j1, j2, j3
 
 
+def trace_loss_terms(params, trace, state, lam1, lam2):
+    """loss_terms as a full-batch epoch calls it, from a whole trace."""
+    error = squared_error(trace.activations[0], trace.reconstruction)
+    return loss_terms(params, error, trace.code, state, lam1, lam2)
+
+
 def small_blobs(seed, sep=6.0):
     ds = synth_blobs(40, 3, 5, sep, 1.0, seed)
     return normalize(ds)
@@ -50,7 +57,7 @@ class TestLossTerms:
         labels = init_indicator(7, 3, seed=12)
         centers = rng.normal(size=(2, 3))
         state = ClusterState(centers, labels)
-        total, j1, j2, j3 = loss_terms(params, trace, state, 0.3, 3e-4)
+        total, j1, j2, j3 = trace_loss_terms(params, trace, state, 0.3, 3e-4)
         o1, o2, o3 = scalar_loss_terms(params, trace, labels, centers, 0.3, 3e-4)
         assert j1 == pytest.approx(o1, abs=1e-10)
         assert j2 == pytest.approx(o2, abs=1e-10)
@@ -64,15 +71,32 @@ class TestLossTerms:
         batch = np.zeros((3, 4))
         trace = forward(params, batch)
         state = ClusterState(np.zeros((2, 2)), init_indicator(3, 2, 0))
-        assert loss_terms(params, trace, state, 0.3, 3e-4) == (0.0, 0.0, 0.0, 0.0)
+        assert trace_loss_terms(params, trace, state, 0.3, 3e-4) == (0.0, 0.0, 0.0, 0.0)
 
     def test_lambda1_zero_kills_j2(self):
         rng = np.random.default_rng(3)
         params = init([4, 2, 4], TANH, TANH, seed=3)
         trace = forward(params, rng.uniform(0, 1, size=(5, 4)))
         state = ClusterState(rng.normal(size=(2, 2)), init_indicator(5, 2, 3))
-        _, _, j2, _ = loss_terms(params, trace, state, 0.0, 3e-4)
+        _, _, j2, _ = trace_loss_terms(params, trace, state, 0.0, 3e-4)
         assert j2 == 0.0
+
+    def test_blocked_sums_match_fsum_oracle(self):
+        """Three full blocks and a tail, in float32 as train runs: j1 and j2
+        are within 1e-12 of the correctly rounded sums of their squares."""
+        n = 3 * BLOCK_ROWS + 7
+        rng = np.random.default_rng(13)
+        params = init(mirror_dims([10, 8, 6]), TANH, TANH, seed=13)
+        trace = forward(params, rng.uniform(0, 1, size=(n, 10)).astype(np.float32))
+        labels = init_indicator(n, 4, seed=13)
+        centers = rng.normal(size=(6, 4))
+        _, j1, j2, _ = trace_loss_terms(params, trace, ClusterState(centers, labels),
+                                        0.3, 3e-4)
+        x, r, code = trace.activations[0], trace.reconstruction, trace.code
+        # a float32 difference squares exactly in float64
+        o1 = 0.5 * math.fsum((np.subtract(x, r).astype(np.float64) ** 2).ravel())
+        o2 = 0.5 * 0.3 * math.fsum(((code - centers.T[labels]) ** 2).ravel())
+        assert abs(j1 - o1) <= 1e-12 * o1 and abs(j2 - o2) <= 1e-12 * o2
 
 
 class TestConfig:
@@ -218,9 +242,9 @@ class TestTrain:
 
         def whole_batch(params, batch, out=None):
             trace = forward(params, batch)
-            return ForwardTrace([batch, trace.code, trace.reconstruction])
+            return trace.code, squared_error(batch, trace.reconstruction)
 
-        monkeypatch.setattr(autoencoder, "encode_decode", whole_batch)
+        monkeypatch.setattr(autoencoder, "encode", whole_batch)
         whole = train(ds.features, cfg, dims, labels=ds.labels)
 
         def run_bytes(params, state, reports):
@@ -230,11 +254,11 @@ class TestTrain:
         assert run_bytes(*blocked) == run_bytes(*whole)
 
     def test_minibatch_epoch_holds_no_whole_data_hidden_layer(self):
-        """At the peak: the codes and the reconstruction of all n rows, one
-        input-sized j1 temporary and one forward block, besides arrays the
-        size of the parameters or of a mini-batch (slack); never a hidden
-        layer of all rows.  The float32 input is made before tracing
-        starts, and train takes it without a copy."""
+        """At the peak: the codes of all n rows and one forward block,
+        besides arrays the size of the parameters or of a mini-batch
+        (slack); never a hidden layer, the reconstruction or a difference
+        of all rows.  The float32 input is made before tracing starts, and
+        train takes it without a copy."""
         encoder, batch_size, slack = [200, 128, 64, 32], 256, 1024 * 1024
         n = 8 * BLOCK_ROWS + 3616
         dims = mirror_dims(encoder)
@@ -246,10 +270,22 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        codes_and_reconstruction = n * (32 + 200) * 4
-        j1_temporary = n * 200 * 4
+        codes = n * 32 * 4
         forward_block = BLOCK_ROWS * sum(dims[1:]) * 4
-        assert peak <= codes_and_reconstruction + j1_temporary + forward_block + slack
+        assert peak <= codes + forward_block + slack
+
+    def test_full_batch_and_minibatch_losses_equal_bit_for_bit(self):
+        """The same parameters at epoch 0: the full batch sums a whole
+        trace, the mini-batch epoch sums encode's blocks, to the same bits."""
+        n = 2 * BLOCK_ROWS + 37
+        ds = normalize(synth_blobs(n // 3 + 1, 3, 10, 6.0, 1.0, seed=10))
+        dims = mirror_dims([10, 8, 6])
+        reports = [
+            train(ds.features, TrainConfig(k=3, max_epochs=0, seed=10,
+                                           batch_size=batch_size), dims)[2]
+            for batch_size in (None, 256)
+        ]
+        assert reports[0] == reports[1] and reports[0][0].j1 > 0.0
 
     def test_loss_drops_in_first_epochs_across_seeds(self):
         wins = 0
