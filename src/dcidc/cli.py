@@ -2,8 +2,9 @@
 
 train and sweep turn their flags into one RunSpec.  train, replay and every
 cell of a sweep (one lambda1 value and one seed) go through _run_training,
-which writes a run directory whose manifest replays byte for byte; a sweep
-loads its data once and shares it among its cells.
+which writes a run directory from what train returns; its manifest replays
+byte for byte and maps every other file there, keyed by name with "." as "_".
+A sweep loads its data once and shares it among its cells.
 
 Exit codes: 0 success, 2 for bad input (I/O, parsing, validation), 1 for
 runtime failures (divergence, collapsed centers, gradient check over
@@ -148,34 +149,22 @@ def _run_training(spec: art.RunSpec, out_dir: Path, prepared) -> EpochReport:
     staging = out_dir.with_name(f".{out_dir.name}.{uuid.uuid4().hex[:12]}.partial")
     try:
         staging.mkdir(parents=True)
-        with open(staging / "epoch_log.csv", "w", encoding="ascii") as log:
-            log.write(art.EPOCH_LOG_HEADER + "\n")
-
-            def stream(report, params, state):
-                log.write(art.epoch_csv_line(report) + "\n")
-                log.flush()
-
-            params, state, reports = train(ds.features, spec.config, dims, enc, dec,
-                                           labels=ds.labels, on_epoch=stream)
+        params, state, reports = train(ds.features, spec.config, dims, enc, dec,
+                                       labels=ds.labels)
+        log = [art.EPOCH_LOG_HEADER, *map(art.epoch_csv_line, reports)]
+        (staging / "epoch_log.csv").write_text("\n".join(log) + "\n", encoding="ascii")
         labels_out = state.indicator
         data.save_label_csv(staging / "labels.csv", labels_out)
         data.save_dcmx(staging / "labels.dcmx", labels_out.reshape(-1, 1))
-        paths = {
-            "labels_csv": "labels.csv",
-            "labels_dcmx": "labels.dcmx",
-            "epoch_log": "epoch_log.csv",
-            "checkpoint": "checkpoint.bin",
-        }
         if ds.mask is not None:
             full = data.scatter_labels(labels_out, ds.mask)
             data.save_label_csv(staging / "labels_full.csv", full)
-            paths["labels_full_csv"] = "labels_full.csv"
             if spec.map_shape is not None:
                 h, w = spec.map_shape
                 grid = np.where(full < 0, 255, full)
                 art.write_pgm(staging / "label_map.pgm", grid, w, h)
-                paths["label_map_pgm"] = "label_map.pgm"
         art.save_checkpoint(staging / "checkpoint.bin", params, reports[-1].epoch)
+        paths = {p.name.replace(".", "_"): p.name for p in sorted(staging.iterdir())}
         art.RunManifest.build(spec, paths, digests).save(staging / "manifest.json")
         os.replace(staging, out_dir)
     except BaseException:
@@ -230,6 +219,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_evaluate(args) -> int:
     predicted, truth = (metrics.dense_labels(data.load_label_csv(path))
                         for path in (args.predicted, args.truth))
+    if predicted.size != truth.size:
+        raise ValueError(f"{args.predicted} holds {predicted.size} labels, "
+                         f"{args.truth} holds {truth.size}")
     table = metrics.contingency_table(predicted, truth)
     print(f"accuracy {metrics.accuracy(table):.6f}")
     print(f"nmi {metrics.nmi(table):.6f}")

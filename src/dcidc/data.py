@@ -154,7 +154,10 @@ def _label(text: str) -> int:
 
 def load_label_csv(path) -> np.ndarray:
     """The labels of a file, one per line, each an integer in 0..2**63-1."""
-    return np.array([label for _, label in _parsed_lines(path, _label)], dtype=np.int64)
+    labels = np.array([label for _, label in _parsed_lines(path, _label)], dtype=np.int64)
+    if not labels.size:
+        raise DataFormatError(f"{path}: no labels")
+    return labels
 
 
 def save_label_csv(path, labels) -> None:
@@ -280,8 +283,8 @@ def synth_blobs(
             f"could not place {k} centers at mutual distance {separation} "
             f"in a box of side {side:.3g} after 100 tries"
         )
+    points = rng.standard_normal((k, n_per_cluster, dim))
+    points *= noise_sigma  # in place, so no second array of the data's size
+    points += centers[:, None, :]
     labels = np.repeat(np.arange(k, dtype=np.int64), n_per_cluster)
-    points = centers[labels] + noise_sigma * rng.standard_normal(
-        (k * n_per_cluster, dim)
-    )
-    return Dataset(points, labels=labels)
+    return Dataset(points.reshape(k * n_per_cluster, dim), labels=labels)

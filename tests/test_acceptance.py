@@ -2,10 +2,8 @@
 PASS/FAIL line (run with -s to see them inline)."""
 
 import itertools
-import math
 import os
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +15,14 @@ from dcidc.clusters import init_indicator, update_centers, update_indicator
 from dcidc.data import normalize, synth_blobs
 from dcidc.metrics import accuracy, contingency_table, nmi
 from dcidc.training import TrainConfig, train
+from oracles import (
+    brute_force_accuracy,
+    brute_force_means,
+    brute_force_nmi,
+    guarded_rel,
+    numeric_gradients,
+    pseudoinverse_assignment,
+)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -27,35 +33,6 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 # --- criterion 1: gradient fidelity ---------------------------------------
-
-def joint_loss(params, batch, assignments, centers, lam1, lam2):
-    trace = forward(params, batch)
-    value = 0.5 * float(((batch - trace.reconstruction) ** 2).sum())
-    if lam1 != 0.0:
-        one_hot = np.eye(centers.shape[1])[assignments]
-        value += 0.5 * lam1 * float(((trace.code - one_hot @ centers.T) ** 2).sum())
-    value += 0.5 * lam2 * (
-        sum(float((w * w).sum()) for w in params.weights)
-        + sum(float((b * b).sum()) for b in params.biases)
-    )
-    return value
-
-
-def central_differences(params, batch, assignments, centers, lam1, lam2, h=1e-6):
-    grads = []
-    for arr in params.weights + params.biases:
-        grad = np.zeros_like(arr)
-        for i in range(arr.size):
-            orig = arr.flat[i]
-            arr.flat[i] = orig + h
-            up = joint_loss(params, batch, assignments, centers, lam1, lam2)
-            arr.flat[i] = orig - h
-            down = joint_loss(params, batch, assignments, centers, lam1, lam2)
-            arr.flat[i] = orig
-            grad.flat[i] = (up - down) / (2 * h)
-        grads.append(grad)
-    return grads
-
 
 def test_gradient_fidelity():
     start = time.monotonic()
@@ -71,11 +48,10 @@ def test_gradient_fidelity():
         centers = rng.normal(0.0, 0.5, size=(2, 2))
         analytic = backward(params, forward(params, batch), assignments,
                             centers, lam1, lam2)
-        numeric = central_differences(params, batch, assignments, centers,
-                                      lam1, lam2)
-        for a, n in zip(analytic.d_weights + analytic.d_biases, numeric):
-            rel = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-3)
-            worst = max(worst, float(rel.max()))
+        num_w, num_b = numeric_gradients(params, batch, assignments, centers,
+                                         lam1, lam2)
+        for a, n in zip(analytic.d_weights + analytic.d_biases, num_w + num_b):
+            worst = max(worst, float(guarded_rel(a, n).max()))
     elapsed = time.monotonic() - start
     report(
         "gradient-fidelity",
@@ -101,17 +77,11 @@ def test_cluster_subproblem_oracles():
         labels = init_indicator(n, k, int(rng.integers(0, 1_000_000)))
         got, reseeded = update_centers(codes, labels, k)
         assert reseeded == []
-        expected = np.zeros((d, k))
-        for i in range(k):
-            rows = [codes[r] for r in range(n) if labels[r] == i]
-            expected[:, i] = np.array(rows).sum(axis=0) / len(rows)
-        centers_exact += np.array_equal(got, expected)
+        centers_exact += np.array_equal(got, brute_force_means(codes, labels, k))
 
         centers = rng.normal(size=(d, k))
         got_h = update_indicator(codes, centers)
-        pinv = np.linalg.pinv(centers)
-        expected_h = [int(np.argmax(pinv @ codes[r])) for r in range(n)]
-        indicator_exact += np.array_equal(got_h, expected_h)
+        indicator_exact += np.array_equal(got_h, pseudoinverse_assignment(codes, centers))
     elapsed = time.monotonic() - start
     report(
         "cluster-subproblem-oracles",
@@ -201,38 +171,6 @@ def test_desk_scale_clustering():
 
 # --- criterion 5: metric oracles -------------------------------------------
 
-def enumerate_accuracy(predicted, truth):
-    clusters = sorted(set(predicted))
-    classes = sorted(set(truth))
-    wide, narrow = (clusters, classes) if len(clusters) >= len(classes) else (classes, clusters)
-    best = 0
-    for perm in itertools.permutations(wide, len(narrow)):
-        pairing = dict(zip(narrow, perm))
-        if len(clusters) >= len(classes):
-            matched = sum(1 for p, t in zip(predicted, truth) if pairing.get(t) == p)
-        else:
-            matched = sum(1 for p, t in zip(predicted, truth) if pairing.get(p) == t)
-        best = max(best, matched)
-    return best / len(predicted)
-
-
-def entropy_nmi(predicted, truth):
-    n = len(predicted)
-    joint = Counter(zip(predicted, truth))
-    pc, tc = Counter(predicted), Counter(truth)
-    h_p = -sum(c / n * math.log(c / n) for c in pc.values())
-    h_t = -sum(c / n * math.log(c / n) for c in tc.values())
-    if h_p == 0.0 and h_t == 0.0:
-        return 1.0
-    if h_p == 0.0 or h_t == 0.0:
-        return 0.0
-    mi = sum(
-        c / n * math.log((c / n) / ((pc[p] / n) * (tc[t] / n)))
-        for (p, t), c in joint.items()
-    )
-    return mi / math.sqrt(h_p * h_t)
-
-
 def test_metric_oracles():
     rng = np.random.default_rng(55)
     acc_exact = 0
@@ -243,8 +181,8 @@ def test_metric_oracles():
         predicted = rng.integers(0, k, size=n).tolist()
         truth = rng.integers(0, int(rng.integers(1, 5)), size=n).tolist()
         table = contingency_table(predicted, truth)
-        acc_exact += accuracy(table) == enumerate_accuracy(predicted, truth)
-        nmi_close += abs(nmi(table) - entropy_nmi(predicted, truth)) <= 1e-10
+        acc_exact += accuracy(table) == brute_force_accuracy(predicted, truth)
+        nmi_close += abs(nmi(table) - brute_force_nmi(predicted, truth)) <= 1e-10
     report(
         "metric-oracles",
         acc_exact == 50 and nmi_close == 50,

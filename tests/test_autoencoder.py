@@ -24,44 +24,9 @@ from dcidc.autoencoder import (
 )
 from dcidc.clusters import init_indicator
 from dcidc.linalg import BLOCK_ROWS, ShapeMismatchError, column_sums, row_blocks
+from oracles import guarded_rel, numeric_gradients
 
 TANH = ActivationKind.TANH
-
-
-def reference_loss(params, batch, assignments, centers, lam1, lam2):
-    """Joint loss recomputed directly from the forward trace."""
-    trace = forward(params, batch)
-    j1 = 0.5 * float(((batch - trace.reconstruction) ** 2).sum())
-    j2 = 0.0
-    if lam1 != 0.0:
-        one_hot = np.eye(centers.shape[1])[assignments]
-        j2 = 0.5 * lam1 * float(((trace.code - one_hot @ centers.T) ** 2).sum())
-    j3 = 0.5 * lam2 * (
-        sum(float((w * w).sum()) for w in params.weights)
-        + sum(float((b * b).sum()) for b in params.biases)
-    )
-    return j1 + j2 + j3
-
-
-def numeric_gradients(params, batch, assignments, centers, lam1, lam2, h=1e-6):
-    """Independent central-difference probe of every scalar parameter."""
-    def probe(arr):
-        grad = np.zeros_like(arr)
-        for i in range(arr.size):
-            orig = arr.flat[i]
-            arr.flat[i] = orig + h
-            up = reference_loss(params, batch, assignments, centers, lam1, lam2)
-            arr.flat[i] = orig - h
-            down = reference_loss(params, batch, assignments, centers, lam1, lam2)
-            arr.flat[i] = orig
-            grad.flat[i] = (up - down) / (2 * h)
-        return grad
-
-    return [probe(w) for w in params.weights], [probe(b) for b in params.biases]
-
-
-def guarded_rel(a, n):
-    return np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-3)
 
 
 def random_instance(seed, dims, n, k, kind=TANH):

@@ -253,6 +253,51 @@ class TestTrain:
         assert "5x5" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("kind", ["plain", "masked", "sweep cell"])
+    def test_manifest_maps_every_other_file_of_the_run(self, blob_file, tmp_path, kind):
+        run = tmp_path / "run"
+        if kind == "plain":
+            assert main(train_args(blob_file, run, "--epochs", "3")) == 0
+        elif kind == "masked":
+            assert main(image_args(image_file(tmp_path), run, "--map-shape", "3x4")) == 0
+        else:
+            assert main(sweep_args(blob_file, tmp_path / "sw", "--grid", "0.3",
+                                   "--epochs", "3")) == 0
+            run = tmp_path / "sw" / "lambda1=0.3" / "seed5"
+        files = sorted(p.name for p in run.iterdir() if p.name != "manifest.json")
+        if kind == "masked":
+            assert {"labels_full.csv", "label_map.pgm"} <= set(files)
+        artifacts_map = json.loads((run / "manifest.json").read_text())["artifacts"]
+        assert artifacts_map == {name.replace(".", "_"): name for name in files}
+
+    @pytest.mark.parametrize("batch", ["full", "32"])
+    def test_epoch_log_holds_the_reports_train_returned(self, blob_file, tmp_path,
+                                                        monkeypatch, batch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            result = train(*args, **kwargs)
+            calls.append((kwargs, result[2]))
+            return result
+
+        monkeypatch.setattr(cli, "train", spy)
+        out = tmp_path / "run"
+        assert main(train_args(blob_file, out, "--batch", batch)) == 0
+        ((kwargs, reports),) = calls
+        assert kwargs.get("on_epoch") is None
+        lines = [artifacts.EPOCH_LOG_HEADER, *map(epoch_csv_line, reports)]
+        assert (out / "epoch_log.csv").read_bytes() == \
+            "".join(line + "\n" for line in lines).encode("ascii")
+
+    def test_out_dir_below_a_file_exits_2_before_training(self, blob_file, tmp_path,
+                                                         capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", untouched)
+        (tmp_path / "plain.txt").write_text("a file, not a directory")
+        assert main(train_args(blob_file, tmp_path / "plain.txt" / "run")) == 2
+        assert "plain.txt" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["blobs.dcmx", "blobs.labels.csv", "plain.txt"]
+
     @pytest.mark.parametrize("name", ["x.csv", "x.bin"])
     def test_dcmx_bytes_train_whatever_the_name(self, blob_file, tmp_path, name):
         labels = ("--labels", str(blob_file.parent / "blobs.labels.csv"))
@@ -294,6 +339,20 @@ class TestReplay:
         assert main(["replay", str(first / "manifest.json"),
                      "--out-dir", str(second)]) == 0
         for name in ("epoch_log.csv", "labels.csv", "labels.dcmx"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_manifest_with_former_artifact_keys_replays(self, blob_file, tmp_path):
+        first = tmp_path / "run1"
+        assert main(train_args(blob_file, first, "--epochs", "5")) == 0
+        manifest = first / "manifest.json"
+        record = json.loads(manifest.read_text())
+        # epoch_log and checkpoint: the keys written before the map was read off the files
+        record["artifacts"] = {"labels_csv": "labels.csv", "labels_dcmx": "labels.dcmx",
+                               "epoch_log": "epoch_log.csv", "checkpoint": "checkpoint.bin"}
+        manifest.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        second = tmp_path / "run2"
+        assert main(["replay", str(manifest), "--out-dir", str(second)]) == 0
+        for name in ("epoch_log.csv", "labels.csv", "labels.dcmx", "checkpoint.bin"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_fingerprint_mismatch_exits_2(self, blob_file, tmp_path, capsys):
@@ -539,6 +598,17 @@ class TestEvaluate:
         save_label_csv(a, [0, 1])
         save_label_csv(b, [0, 1, 1])
         assert main(["evaluate", str(a), str(b)]) == 2
+        assert f"{a} holds 2 labels, {b} holds 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    @pytest.mark.parametrize("empty", [("predicted",), ("truth",), ("predicted", "truth")],
+                             ids=["predicted", "truth", "both"])
+    def test_file_without_labels_exits_2_naming_it(self, tmp_path, capsys, empty, text):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("predicted", "truth")}
+        for name, path in paths.items():
+            path.write_text(text if name in empty else "0\n1\n")
+        assert main(["evaluate", str(paths["predicted"]), str(paths["truth"])]) == 2
+        assert f"{empty[0]}.csv: no labels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("signed", ["predicted", "truth"])
     def test_negative_label_exits_2_naming_file_and_line(self, tmp_path, capsys, signed):

@@ -17,6 +17,7 @@ from dcidc.clusters import (
     update_indicator,
 )
 from dcidc.linalg import BLOCK_ROWS, SingularMatrixError, frobenius_sq, solve_spd
+from oracles import brute_force_means, pseudoinverse_assignment
 
 
 def assert_labels(labels, n, k):
@@ -29,21 +30,6 @@ def assert_labels(labels, n, k):
 def nearest_center(codes, centers):
     """Nearest-center labels by brute-force n x d x k distances."""
     return np.argmin(((codes[:, :, None] - centers[None, :, :]) ** 2).sum(axis=1), axis=1)
-
-
-def brute_force_means(codes, labels, k):
-    """Per-cluster mean oracle: explicit row collection, same reduction."""
-    centers = np.zeros((codes.shape[1], k))
-    for i in range(k):
-        rows = [codes[r] for r in range(codes.shape[0]) if labels[r] == i]
-        centers[:, i] = np.array(rows).sum(axis=0) / len(rows)
-    return centers
-
-
-def pseudoinverse_assignment(codes, centers):
-    """Independent per-sample least-squares + argmax oracle."""
-    pinv = np.linalg.pinv(centers)
-    return np.array([int(np.argmax(pinv @ code)) for code in codes])
 
 
 class TestInitIndicator:

@@ -22,6 +22,7 @@ from dcidc.data import (
     scatter_labels,
     synth_blobs,
 )
+from dcidc.seeding import substream
 
 
 class TestDcmx:
@@ -219,7 +220,7 @@ class TestCsv:
 
 @pytest.mark.parametrize("case", ["dcmx_version_2", "empty_csv", "label_not_integer",
                                   "dcmx_nan", "label_negative", "label_above_int64",
-                                  "label_underscore", "feature_underscore"])
+                                  "label_underscore", "feature_underscore", "labels_blank"])
 def test_malformed_input_rejected_naming_file(tmp_path, case):
     path = tmp_path / "f.dcmx"
     if case == "dcmx_version_2":
@@ -251,6 +252,10 @@ def test_malformed_input_rejected_naming_file(tmp_path, case):
         path = tmp_path / "f.csv"
         path.write_text("1,2\n1_0.5,3\n")
         expected = "f.csv:2: digit-group underscore in '1_0.5,3'"
+    elif case == "labels_blank":
+        save_dcmx(path, np.ones((2, 2)))
+        companion_label_path(path).write_text("\n\n")
+        expected = "f.labels.csv: no labels"
     else:
         save_dcmx(path, np.array([[1.0, np.nan]]))
         expected = "f.dcmx: non-finite feature values"
@@ -370,6 +375,37 @@ class TestSynthBlobs:
         # with noise, the same seed scatters the points about the same centers
         noisy = synth_blobs(5, 3, 4, 2.0, 0.5, seed=0)
         assert 0.35 < np.std(noisy.features - centers[noisy.labels]) < 0.65
+
+    @pytest.mark.parametrize("noise_sigma", [1.0, 0.0])
+    def test_points_equal_the_two_temporary_expression(self, noise_sigma):
+        """The bytes of centers[labels] + noise_sigma * draws, the expression
+        the in-place scaling and shift replaced, from the same generator."""
+        n_per_cluster, k, dim, separation, seed = 50, 4, 7, 3.0, 6
+        centers = blob_centers(n_per_cluster, k, dim, separation, seed)
+        rng = substream(seed, "synth")
+        side = separation * max(2.0, k ** (1.0 / dim))
+        for _ in range(100):  # the rejected placements draw before the accepted one
+            if np.array_equal(rng.uniform(0.0, side, size=(k, dim)), centers):
+                break
+        else:
+            pytest.fail("no placement drew the centers")
+        labels = np.repeat(np.arange(k), n_per_cluster)
+        want = centers[labels] + noise_sigma * rng.standard_normal((k * n_per_cluster, dim))
+        got = synth_blobs(n_per_cluster, k, dim, separation, noise_sigma, seed)
+        assert got.features.tobytes() == want.tobytes()
+
+    def test_holds_only_its_output_array(self):
+        """Besides the result, only the labels, the centers and Python
+        objects (slack), never a second array of the data's size."""
+        n_per_cluster, k, dim, slack = 1000, 4, 50, 128 * 1024
+        synth_blobs(1, 2, 1, 1.0, 1.0, seed=0)  # the first call imports modules
+        tracemalloc.start()
+        try:
+            synth_blobs(n_per_cluster, k, dim, 6.0, 1.0, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_per_cluster * k * dim * 8 + slack
 
     def test_deterministic(self):
         a = synth_blobs(10, 3, 6, 4.0, 1.0, seed=3)

@@ -1,5 +1,3 @@
-import itertools
-import math
 from collections import Counter
 
 import numpy as np
@@ -8,42 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcidc.metrics import accuracy, contingency_table, dense_labels, matched_sum, nmi
-
-
-def brute_force_accuracy(predicted, truth):
-    """Enumerate every one-to-one cluster-to-class matching."""
-    predicted, truth = list(predicted), list(truth)
-    clusters = sorted(set(predicted))
-    classes = sorted(set(truth))
-    wide, narrow = (clusters, classes) if len(clusters) >= len(classes) else (classes, clusters)
-    best = 0
-    for perm in itertools.permutations(wide, len(narrow)):
-        pairing = dict(zip(narrow, perm))
-        if len(clusters) >= len(classes):
-            matched = sum(1 for p, t in zip(predicted, truth) if pairing.get(t) == p)
-        else:
-            matched = sum(1 for p, t in zip(predicted, truth) if pairing.get(p) == t)
-        best = max(best, matched)
-    return best / len(predicted)
-
-
-def brute_force_nmi(predicted, truth):
-    """Direct entropy sums over the joint distribution."""
-    n = len(predicted)
-    joint = Counter(zip(predicted, truth))
-    pc = Counter(predicted)
-    tc = Counter(truth)
-    h_p = -sum((c / n) * math.log(c / n) for c in pc.values())
-    h_t = -sum((c / n) * math.log(c / n) for c in tc.values())
-    if h_p == 0.0 and h_t == 0.0:
-        return 1.0
-    if h_p == 0.0 or h_t == 0.0:
-        return 0.0
-    mi = sum(
-        (c / n) * math.log((c / n) / ((pc[p] / n) * (tc[t] / n)))
-        for (p, t), c in joint.items()
-    )
-    return mi / math.sqrt(h_p * h_t)
+from oracles import brute_force_accuracy, brute_force_nmi
 
 
 labelings = st.integers(4, 12).flatmap(
