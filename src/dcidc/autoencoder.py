@@ -16,17 +16,16 @@ there.  Activation derivatives are taken from layer outputs, so a forward
 trace keeps only those.  Cluster assignments and centers are constants
 here, updated elsewhere in closed form.
 
-A trace, from ``forward``, is every layer's output: what ``backward``
-needs.  ``encode`` keeps only the codes and the summed squared
-reconstruction error: what the cluster updates and the loss read.
-
-Three passes go one row block at a time (``linalg.row_blocks``): each
-activation derivative scales its signal per block, so a backward pass
-holds at most two batch-sized signal arrays, never a batch-sized
-derivative; ``encode`` runs ``forward`` per block, so a mini-batch epoch
-takes the codes of all samples without their other layers; and
-``squared_error`` adds one float64 partial sum per block, as ``encode``
-does, so a whole trace and ``encode`` give the same bits.
+A trace is every layer's output: what ``backward`` needs.  Both batch
+modes take an epoch's forward over all samples from ``encode``, which runs
+``forward`` one row block at a time (``linalg.row_blocks``) and sums the
+squared reconstruction error, one float64 partial sum per block, as it
+goes.  For a full batch it keeps every layer's n rows, the trace the
+backward pass then takes; for a mini-batch epoch it keeps only the codes,
+which is what the cluster updates and the loss read.  The backward pass
+scales each signal by its activation derivative one row block at a time,
+so it holds at most two batch-sized signal arrays, never a batch-sized
+derivative.
 
 Parameters are float64 master weights.  A pass computes in the float type of
 its batch: training feeds float32, so the bulk arithmetic runs in float32,
@@ -135,11 +134,14 @@ def validate_dims(dims: list[int]) -> None:
 def init(
     dims: list[int],
     enc_activation: ActivationKind,
-    dec_activation: ActivationKind,
+    dec_activation: ActivationKind | None,
     seed: int,
 ) -> NetworkParams:
-    """Fan-based uniform weight init, zero biases, deterministic from seed."""
+    """Fan-based uniform weight init, zero biases, deterministic from seed.
+    The decoder takes the encoder's activation unless dec_activation is given."""
     validate_dims(dims)
+    if dec_activation is None:
+        dec_activation = enc_activation
     rng = substream(seed, "init")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -172,49 +174,42 @@ def forward(params: NetworkParams, batch: np.ndarray,
     return ForwardTrace(acts)
 
 
-def encode(params: NetworkParams, batch: np.ndarray,
-           out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """The codes of batch, with forward's bits, and ``squared_error`` of
-    batch and its reconstruction, with the bits of a whole trace's.
+def encode(params: NetworkParams, batch: np.ndarray, every_layer: bool,
+           out: ForwardTrace | None = None) -> tuple[ForwardTrace, float]:
+    """The trace of batch, with the bits of one whole-batch forward, and its
+    summed squared reconstruction error, in float64.
 
     forward runs once per row block (``linalg.row_blocks``) and writes each
-    block's code straight into the n-row array: out (the codes of an
-    earlier batch of the same shape and type) or a fresh one.  Every other
-    layer's output, the reconstruction included, is held for one block
-    only; the block's squared error is summed while it is in cache.  No
-    block is short: a product over a few rows may round otherwise than
-    the whole batch's.
+    block's code, and with every_layer every layer's output, straight into
+    an n-row array: the trace backward takes.  Without every_layer the
+    other layers are held for one block only and the trace has a 0-row
+    array in their place, which backward refuses.  out, an earlier call's
+    trace for a batch of this shape and type and the same every_layer, is
+    written over.  The error adds one float64 partial sum per block, in row
+    order, each block's difference formed in one block-sized buffer.  No
+    block is short: a product over a few rows may round otherwise than the
+    whole batch's.
     """
     n, last, half = batch.shape[0], params.num_layers, params.num_layers // 2
     dtype = np.result_type(batch.dtype, np.float32)
-    codes = np.empty((n, params.code_dim), dtype) if out is None else out
-    # the other layers' outputs for one block, written again by each block
-    hidden = {m: np.empty((min(n, BLOCK_ROWS), params.dims[m]), dtype)
-              for m in range(1, last + 1) if m != half}
+    keep = [every_layer or m == half for m in range(last + 1)]
+    if out is None:
+        out = ForwardTrace([batch] + [np.empty((n if keep[m] else 0, params.dims[m]), dtype)
+                                      for m in range(1, last + 1)])
+    layers = out.activations
+    # one block of each layer not kept, and of x - reconstruction: the
+    # reconstruction's own block when that is not kept
+    scratch = {m: np.empty((min(n, BLOCK_ROWS), params.dims[m]), dtype)
+               for m in range(1, last + 1) if not keep[m] or m == last}
     error = 0.0
     for rows in row_blocks(n):
         x, size = batch[rows], rows.stop - rows.start
-        layers = [hidden[m][:size] if m in hidden else codes[rows]
-                  for m in range(1, last + 1)]
+        block = [x] + [layers[m][rows] if keep[m] else scratch[m][:size]
+                       for m in range(1, last + 1)]
         # called by its module name, so a wrapper of forward sees every block
-        forward(params, x, out=ForwardTrace([x, *layers]))
-        # squared_error's block sum, formed over the reconstruction block
-        error += frobenius_sq(np.subtract(x, layers[-1], out=layers[-1]))
-    return codes, error
-
-
-def squared_error(x: np.ndarray, y: np.ndarray) -> float:
-    """Sum of (x - y)**2 in float64: one partial sum per row block
-    (``linalg.row_blocks``), added in row order, each block's difference
-    formed in one block-sized buffer in the type of x - y."""
-    if x.shape != y.shape:
-        raise ShapeMismatchError(f"squared_error: {x.shape} vs {y.shape}")
-    buffer = np.empty((min(x.shape[0], BLOCK_ROWS), x.shape[1]), np.result_type(x, y))
-    error = 0.0
-    for rows in row_blocks(x.shape[0]):
-        diff = np.subtract(x[rows], y[rows], out=buffer[:rows.stop - rows.start])
-        error += frobenius_sq(diff)
-    return error
+        forward(params, x, out=ForwardTrace(block))
+        error += frobenius_sq(np.subtract(x, block[-1], out=scratch[last][:size]))
+    return ForwardTrace([batch, *layers[1:]]), error
 
 
 def _times_derivative(delta: np.ndarray, kind: ActivationKind,
@@ -272,10 +267,12 @@ def backward(
     it is added at the code layer.
     """
     m_total = params.num_layers
-    if len(trace.activations) != m_total + 1:
+    rows = [z.shape[0] for z in trace.activations]
+    if len(rows) != m_total + 1 or len(set(rows)) != 1:
         raise ShapeMismatchError(
-            f"backward: the trace holds {len(trace.activations)} arrays, a net "
-            f"of {m_total} layers needs every layer's output ({m_total + 1})"
+            f"backward: the trace holds arrays of {rows} rows, a net of "
+            f"{m_total} layers needs every layer's output for all {rows[0]} "
+            f"rows ({m_total + 1} arrays)"
         )
     if lambda1 != 0.0 and (assignments is None or centers is None):
         raise ValueError("backward: lambda1 != 0 requires assignments and centers")

@@ -89,8 +89,9 @@ def _spec_from_args(args) -> art.RunSpec:
 
 def _prepare(spec: art.RunSpec, check=None):
     """(dataset, mirrored dims, encoder and decoder activations, input
-    digests) of a spec; the digests are taken just before the files are read,
-    and check, if given, sees them before any file is parsed."""
+    digests) of a spec, the decoder's None unless given; the digests are
+    taken just before the files are read, and check, if given, sees them
+    before any file is parsed."""
     digests = art.input_digests(spec)
     if check is not None:
         check(digests)
@@ -116,7 +117,7 @@ def _prepare(spec: art.RunSpec, check=None):
                 f"--map-shape {h}x{w} holds {h * w} pixels, the image has {ds.mask.size}"
             )
     enc = parse_kind(spec.activation)
-    dec = enc if spec.dec_activation is None else parse_kind(spec.dec_activation)
+    dec = None if spec.dec_activation is None else parse_kind(spec.dec_activation)
     return ds, net.mirror_dims(dims), enc, dec, digests
 
 
@@ -202,10 +203,9 @@ def cmd_gradcheck(args) -> int:
     if args.samples < config.k:  # every cluster needs a sample
         raise ValueError(f"--samples must be at least --k ({config.k}), got {args.samples}")
     dims = net.mirror_dims(args.dims)
-    enc = parse_kind(args.activation)
-    dec = enc if args.dec_activation is None else parse_kind(args.dec_activation)
+    dec = None if args.dec_activation is None else parse_kind(args.dec_activation)
     rng = np.random.default_rng(config.seed)
-    params = net.init(dims, enc, dec, config.seed)
+    params = net.init(dims, parse_kind(args.activation), dec, config.seed)
     batch = rng.uniform(0.0, 1.0, size=(args.samples, dims[0]))
     assignments = clusters.init_indicator(args.samples, config.k, config.seed)
     centers = rng.normal(0.0, 0.5, size=(params.code_dim, config.k))

@@ -20,7 +20,7 @@ row block at a time (``linalg.row_blocks``): each block of codes is
 widened to float64, since a float32-by-float64 matrix product skips BLAS,
 and only its labels are kept, so no n-row float64 array is formed.  The
 intra-class error goes by the same blocks: it adds each block's float64
-partial sum, as ``autoencoder.squared_error`` does for the reconstruction.
+partial sum, as ``autoencoder.encode`` does for the reconstruction.
 """
 
 from __future__ import annotations

@@ -26,9 +26,8 @@ def total_loss(
     lambda1: float,
     lambda2: float,
 ) -> float:
-    trace = net.forward(params, batch)
+    trace, error = net.encode(params, batch, every_layer=False)
     state = ClusterState(centers, assignments)
-    error = net.squared_error(batch, trace.reconstruction)
     return loss_terms(params, error, trace.code, state, lambda1, lambda2)[0]
 
 
@@ -55,10 +54,12 @@ def numeric_gradients(
             gflat[i] = (up - down) / (2.0 * step)
         return grad
 
-    return net.Gradients(
-        [probe(w) for w in params.weights],
-        [probe(b) for b in params.biases],
-    )
+    # a step that overflows the loss reads as a non-finite slope, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return net.Gradients(
+            [probe(w) for w in params.weights],
+            [probe(b) for b in params.biases],
+        )
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:

@@ -5,11 +5,11 @@ current assignments (per-cluster code means), evaluate the loss terms,
 recompute the assignments from the centers (least-squares + binarize, which
 yields one cluster label per sample), then take one gradient-descent step
 on every weight and bias, or one per mini-batch of the shuffled samples.
-Assignments and centers are constants inside the gradient steps.  A full
-batch keeps every layer's output of the forward for its backward pass; a
-mini-batch epoch takes the forward of all samples in row blocks
-(``autoencoder.encode``) and keeps only their codes and the float64 sum
-of squared reconstruction errors, as each mini-batch runs its own
+Assignments and centers are constants inside the gradient steps.  Both
+batch modes take the forward of all samples in row blocks
+(``autoencoder.encode``), with the float64 sum of squared reconstruction
+errors.  A full batch keeps every layer's output for its backward pass; a
+mini-batch epoch keeps only the codes, as each mini-batch runs its own
 forward.  Both cluster updates read the float32 codes as they are and
 widen them to float64 one member set or row block at a time, so an epoch
 keeps no float64 copy of the codes.  Every row block is cut by
@@ -21,9 +21,9 @@ The loss decomposes as j_total = j1 + j2 + j3 with
     j2 = lambda1/2 * sum of squared code-to-center distances
     j3 = lambda2/2 * (squared norms of all weights and biases)
 
-The sums of j1 and j2 add one float64 partial sum per row block, so a
-full-batch and a mini-batch epoch give j1 the same bits for the same
-parameters.
+The sums of j1 and j2 add one float64 partial sum per row block, and
+both batch modes sum j1 in ``encode``, so they give it the same bits for
+the same parameters.
 
 Gradients are summed (not averaged) over the batch, so the learning rate
 should be chosen relative to the sample count; the default 1e-3 suits the
@@ -101,7 +101,7 @@ class EpochReport:
 
 def loss_terms(
     params: net.NetworkParams,
-    squared_error: float,
+    reconstruction_error: float,
     codes: np.ndarray,
     state: clusters.ClusterState,
     lambda1: float,
@@ -109,7 +109,7 @@ def loss_terms(
 ) -> tuple[float, float, float, float]:
     """(j_total, j1, j2, j3) for one batch under the half-scaled convention,
     given the batch's summed squared reconstruction error and its codes."""
-    j1 = 0.5 * squared_error
+    j1 = 0.5 * reconstruction_error
     j2 = 0.5 * lambda1 * clusters.intra_class_error(codes, state.indicator, state.centers)
     j3 = 0.5 * lambda2 * (
         sum(frobenius_sq(w) for w in params.weights)
@@ -139,8 +139,6 @@ def train(
     The autoencoder passes run in float32 on a float32 copy of data; the
     parameters, centers, assignment solve and loss sums stay float64.
     """
-    if dec_activation is None:
-        dec_activation = enc_activation
     data = np.asarray(data, dtype=np.float32)
     if labels is not None:  # once, not per epoch: np.unique sorts
         labels = metrics.dense_labels(labels)
@@ -149,8 +147,7 @@ def train(
     params = net.init(dims, enc_activation, dec_activation, config.seed)
     assigned = clusters.init_indicator(n, config.k, config.seed)
     shuffle_rng = substream(config.seed, "shuffle")
-    centers = None
-    trace = codes = None
+    centers = trace = None
     reports: list[EpochReport] = []
     prev_total = None
     flat_epochs = 0
@@ -159,14 +156,11 @@ def train(
     # ends the run as a divergence before the indicator solve sees it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs + 1):
-            # written over the last trace or codes, so no n-row array is
-            # freed to the heap top, trimmed and faulted in again each epoch
-            if full_batch:
-                trace = net.forward(params, data, out=trace)
-                codes = trace.code
-                error = net.squared_error(data, trace.reconstruction)
-            else:
-                codes, error = net.encode(params, data, out=codes)
+            # every layer for the full batch's backward pass, else only the
+            # codes; written over the last trace, so no n-row array is freed
+            # to the heap top, trimmed and faulted in again each epoch
+            trace, error = net.encode(params, data, full_batch, out=trace)
+            codes = trace.code
             centers, reseeded = clusters.update_centers(codes, assigned, config.k, centers)
             state = clusters.ClusterState(centers, assigned)
             j_total, j1, j2, j3 = loss_terms(

@@ -9,6 +9,16 @@ from collections import Counter
 import numpy as np
 
 from dcidc.autoencoder import forward
+from dcidc.linalg import frobenius_sq, row_blocks
+
+
+def blocked_squared_error(x, y):
+    """Sum of (x - y)**2 as j1 defines it: one float64 partial sum per row
+    block, added in row order, so its bits are the package's."""
+    error = 0.0
+    for rows in row_blocks(x.shape[0]):
+        error += frobenius_sq(x[rows] - y[rows])
+    return error
 
 
 def reference_loss(params, batch, assignments, centers, lam1, lam2):

@@ -19,12 +19,11 @@ from dcidc.autoencoder import (
     init,
     mirror_dims,
     reconstruction_deltas,
-    squared_error,
     validate_dims,
 )
 from dcidc.clusters import init_indicator
 from dcidc.linalg import BLOCK_ROWS, ShapeMismatchError, column_sums, row_blocks
-from oracles import guarded_rel, numeric_gradients
+from oracles import blocked_squared_error, guarded_rel, numeric_gradients, reference_loss
 
 TANH = ActivationKind.TANH
 
@@ -69,6 +68,12 @@ class TestInit:
         for w, fan_in, fan_out in zip(params.weights, [6, 3], [3, 6]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             assert np.all(np.abs(w) <= limit)
+
+    def test_decoder_takes_encoder_activation_unless_given(self):
+        assert init([4, 2, 4], ActivationKind.SOFTPLUS, None, seed=0).dec_activation \
+            is ActivationKind.SOFTPLUS
+        assert init([4, 2, 4], TANH, ActivationKind.SIGMOID, seed=0).dec_activation \
+            is ActivationKind.SIGMOID
 
     def test_mirror_dims(self):
         assert mirror_dims([10, 6, 2]) == [10, 6, 2, 6, 10]
@@ -410,13 +415,15 @@ ENCODE_ROWS = [(0, BLOCK_ROWS // 3), (1, 1), (3, 2), (1, 9), (3, 37), (1, 63),
 @pytest.mark.parametrize("j, t", ENCODE_ROWS)
 def test_encode_decode_equals_forward_byte_for_byte(encoder, j, t, monkeypatch):
     """Row counts just past block multiples, where a tail block would be
-    short; encode's codes are forward's whole-batch bits, and its squared
-    error is squared_error's on the whole batch's reconstruction."""
+    short; encode's trace has the whole-batch forward's bits, every layer's
+    or only the codes', and its error is j1's blocked sum over the whole
+    batch's reconstruction."""
     n = BLOCK_ROWS * j + t
     dims = mirror_dims(ENCODE_NETS[encoder])
     params = init(dims, TANH, ActivationKind.SIGMOID, seed=t)
     batch = np.random.default_rng(t).uniform(0, 1, size=(n, dims[0])).astype(np.float32)
     whole = forward(params, batch)
+    want_error = blocked_squared_error(batch, whole.reconstruction)
     calls = []
 
     def spy(params, batch, out=None):
@@ -424,32 +431,65 @@ def test_encode_decode_equals_forward_byte_for_byte(encoder, j, t, monkeypatch):
         return forward(params, batch, out=out)
 
     monkeypatch.setattr(autoencoder, "forward", spy)
-    codes, error = encode(params, batch)
-    assert codes.dtype == whole.code.dtype and codes.tobytes() == whole.code.tobytes()
-    assert error == squared_error(batch, whole.reconstruction)
-    assert calls == [r.stop - r.start for r in row_blocks(n)]
-    assert len(calls) == -(-n // BLOCK_ROWS) and min(calls) >= min(n, BLOCK_ROWS // 2)
-    again, again_error = encode(params, batch, out=codes)
-    assert again is codes and again_error == error
-    assert again.tobytes() == whole.code.tobytes()
+    for every_layer in (True, False):
+        calls.clear()
+        trace, error = encode(params, batch, every_layer)
+        rows = [n if every_layer or m in (0, len(dims) // 2) else 0
+                for m in range(len(dims))]
+        assert [z.shape[0] for z in trace.activations] == rows
+        assert trace.activations[0] is batch and error == want_error
+        for got, want in zip(trace.activations, whole.activations):
+            assert got.dtype == want.dtype and got.shape[1] == want.shape[1]
+            assert got.shape[0] == 0 or got.tobytes() == want.tobytes()
+        assert calls == [r.stop - r.start for r in row_blocks(n)]
+        assert len(calls) == -(-n // BLOCK_ROWS) and min(calls) >= min(n, BLOCK_ROWS // 2)
+        again, again_error = encode(params, batch, every_layer, out=trace)
+        assert again_error == error
+        assert all(a is b for a, b in zip(again.activations, trace.activations))
+        assert again.code.tobytes() == whole.code.tobytes()
 
 
-def test_encode_decode_trace_cannot_reach_backward():
-    """backward refuses a trace of only [input, code, reconstruction]; with
-    one hidden layer that is every layer, and encode's codes are its code."""
+def test_encode_codes_only_trace_cannot_reach_backward():
+    """backward refuses a trace short of a layer, and encode's trace of the
+    codes alone even where the code is the only hidden layer; encode's
+    trace of every layer gives forward's gradients."""
     params, batch, assignments, centers = random_instance(3, mirror_dims([6, 4, 3]), 10, 2)
     whole = forward(params, batch)
     thin = ForwardTrace([batch, whole.code, whole.reconstruction])
     with pytest.raises(ShapeMismatchError, match="every layer's output"):
         backward(params, thin, assignments, centers, 0.3, 3e-4)
     params, batch, assignments, centers = random_instance(3, mirror_dims([6, 4]), 10, 2)
-    whole = forward(params, batch)
-    codes, _ = encode(params, batch)
-    thin = ForwardTrace([batch, codes, whole.reconstruction])
-    got = backward(params, thin, assignments, centers, 0.3, 3e-4)
-    want = backward(params, whole, assignments, centers, 0.3, 3e-4)
+    codes_only, _ = encode(params, batch, every_layer=False)
+    assert [z.shape[0] for z in codes_only.activations] == [10, 10, 0]
+    with pytest.raises(ShapeMismatchError, match="every layer's output for all 10 rows"):
+        backward(params, codes_only, assignments, centers, 0.3, 3e-4)
+    got = backward(params, encode(params, batch, every_layer=True)[0],
+                   assignments, centers, 0.3, 3e-4)
+    want = backward(params, forward(params, batch), assignments, centers, 0.3, 3e-4)
     for a, b in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
         assert a.tobytes() == b.tobytes()
+
+
+LOSS_KINDS = [(TANH, None), (TANH, ActivationKind.SIGMOID),
+              (ActivationKind.SOFTPLUS, ActivationKind.NSSIGMOID),
+              (ActivationKind.SIGMOID, TANH)]
+
+
+@pytest.mark.parametrize("n", [1, 37, BLOCK_ROWS + 37])
+@pytest.mark.parametrize("enc, dec", LOSS_KINDS)
+@pytest.mark.parametrize("lam1", [0.0, 0.3])
+def test_total_loss_matches_reference_loss(n, enc, dec, lam1):
+    """The loss the gradient checks difference, on float64 batches of one
+    row, a few rows and more than one block, against the oracle's."""
+    dims = mirror_dims([6, 4, 3])
+    rng = np.random.default_rng(n)
+    params = init(dims, enc, dec, seed=n)
+    batch = rng.uniform(0.0, 1.0, size=(n, dims[0]))
+    assignments = rng.integers(0, 2, size=n)
+    centers = rng.normal(0.0, 0.5, size=(3, 2))
+    got = gradcheck.total_loss(params, batch, assignments, centers, lam1, 3e-4)
+    want = reference_loss(params, batch, assignments, centers, lam1, 3e-4)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestApplyUpdate:

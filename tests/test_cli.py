@@ -562,6 +562,11 @@ class TestGradcheck:
         assert main(["gradcheck"]) == 1
         assert "max relative error nan at W2[0, 1]" in capsys.readouterr().out
 
+    def test_overflowing_step_fails_without_a_warning(self, capsys):
+        # every probe's loss overflows; a RuntimeWarning is an error here
+        assert main(["gradcheck", "--step", "1e300"]) == 1
+        assert "max relative error nan" in capsys.readouterr().out
+
     BAD_SETTINGS = {  # (flag, value) -> what stderr must say
         **{("--step", v): "--step must be finite" for v in ("0", "nan", "inf")},
         **{("--tolerance", v): "--tolerance must be finite"

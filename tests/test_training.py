@@ -6,11 +6,12 @@ import pytest
 
 from dcidc import autoencoder, clusters
 from dcidc.activations import ActivationKind
-from dcidc.autoencoder import forward, init, mirror_dims, squared_error
+from dcidc.autoencoder import encode, forward, init, mirror_dims
 from dcidc.clusters import ClusterState, init_indicator
 from dcidc.data import normalize, synth_blobs
 from dcidc.linalg import BLOCK_ROWS
 from dcidc.training import DivergenceError, TrainConfig, loss_terms, train
+from oracles import blocked_squared_error
 
 TANH = ActivationKind.TANH
 
@@ -38,8 +39,8 @@ def scalar_loss_terms(params, trace, labels, centers, lam1, lam2):
 
 
 def trace_loss_terms(params, trace, state, lam1, lam2):
-    """loss_terms as a full-batch epoch calls it, from a whole trace."""
-    error = squared_error(trace.activations[0], trace.reconstruction)
+    """loss_terms as an epoch calls it, with encode's error of the batch."""
+    _, error = encode(params, trace.activations[0], every_layer=False)
     return loss_terms(params, error, trace.code, state, lam1, lam2)
 
 
@@ -193,18 +194,30 @@ class TestTrain:
 
     def test_full_batch_forward_reuses_last_trace(self, monkeypatch):
         # the epoch's n-row arrays are written again, not freed and refaulted
-        traces, given = [], []
+        traces, given, backward_traces = [], [], []
 
-        def spy(params, batch, out=None):
+        def spy(params, batch, every_layer, out=None):
             given.append(out)
-            traces.append(forward(params, batch, out=out))
-            return traces[-1]
+            trace, error = encode(params, batch, every_layer, out=out)
+            traces.append(trace)
+            return trace, error
 
-        monkeypatch.setattr(autoencoder, "forward", spy)
-        cfg = TrainConfig(k=3, max_epochs=3, seed=5)
-        train(small_blobs(5).features, cfg, mirror_dims([5, 4, 3]))
+        def backward_spy(params, trace, *args):
+            backward_traces.append(trace)
+            return backward(params, trace, *args)
+
+        backward = autoencoder.backward
+        monkeypatch.setattr(autoencoder, "encode", spy)
+        monkeypatch.setattr(autoencoder, "backward", backward_spy)
+        ds, cfg = small_blobs(5), TrainConfig(k=3, max_epochs=3, seed=5)
+        train(ds.features, cfg, mirror_dims([5, 4, 3]))
         assert len(given) == 4 and given[0] is None
         assert all(out is trace for out, trace in zip(given[1:], traces))
+        assert len(backward_traces) == 3
+        assert all(a is b for a, b in zip(backward_traces, traces))
+        first = traces[0].activations[1:]
+        assert all(z.shape[0] == ds.n for z in first)
+        assert all(a is b for trace in traces for a, b in zip(trace.activations[1:], first))
 
     @pytest.mark.parametrize("batch_size", [None, 256])
     def test_column_sums_leave_train_byte_identical(self, monkeypatch, batch_size):
@@ -229,23 +242,28 @@ class TestTrain:
 
         assert run_bytes(*fast) == run_bytes(*plain)
 
-    @pytest.mark.parametrize("batch_size", [7, 64, 256])
+    @pytest.mark.parametrize("batch_size", [None, 7, 64, 256])
     def test_blocked_epoch_forward_leaves_train_byte_identical(self, monkeypatch,
                                                                batch_size):
-        """Rows enough for three forward blocks, so the codes of an epoch
-        come from several forward calls."""
+        """Rows enough for three forward blocks, so the codes of an epoch,
+        and for a full batch the trace of its backward pass, come from
+        several forward calls: train runs as with one whole-batch forward."""
         n = 2 * BLOCK_ROWS + 37
         ds = normalize(synth_blobs(n // 3 + 1, 3, 10, 6.0, 1.0, seed=8))
         cfg = TrainConfig(k=3, max_epochs=3, seed=8, batch_size=batch_size)
         dims = mirror_dims([10, 8, 6])
         blocked = train(ds.features, cfg, dims, labels=ds.labels)
 
-        def whole_batch(params, batch, out=None):
+        calls = []
+
+        def whole_batch(params, batch, every_layer, out=None):
+            calls.append(every_layer)
             trace = forward(params, batch)
-            return trace.code, squared_error(batch, trace.reconstruction)
+            return trace, blocked_squared_error(batch, trace.reconstruction)
 
         monkeypatch.setattr(autoencoder, "encode", whole_batch)
         whole = train(ds.features, cfg, dims, labels=ds.labels)
+        assert calls == [batch_size is None] * 4
 
         def run_bytes(params, state, reports):
             arrays = params.weights + params.biases + [state.centers, state.indicator]
@@ -274,9 +292,32 @@ class TestTrain:
         forward_block = BLOCK_ROWS * sum(dims[1:]) * 4
         assert peak <= codes + forward_block + slack
 
+    def test_full_batch_epoch_holds_trace_two_signals_and_one_block(self):
+        """At the peak: every layer's output for all n rows, the backward
+        pass's two signal arrays (of two adjacent layers) and one block,
+        besides arrays the size of the parameters (slack).  The float32
+        input is made before tracing starts, and train takes it without a
+        copy."""
+        encoder, slack = [200, 128, 64, 32], 1024 * 1024
+        n = 8 * BLOCK_ROWS + 3616
+        dims = mirror_dims(encoder)
+        data = np.random.default_rng(9).uniform(0, 1, size=(n, 200)).astype(np.float32)
+        cfg = TrainConfig(k=16, max_epochs=2, seed=9, lr=1e-6)
+        tracemalloc.start()
+        try:
+            train(data, cfg, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trace = n * sum(dims[1:]) * 4
+        signals = n * max(a + b for a, b in zip(dims, dims[1:])) * 4
+        block = BLOCK_ROWS * max(dims) * 4
+        assert peak <= trace + signals + block + slack
+
     def test_full_batch_and_minibatch_losses_equal_bit_for_bit(self):
-        """The same parameters at epoch 0: the full batch sums a whole
-        trace, the mini-batch epoch sums encode's blocks, to the same bits."""
+        """The same parameters at epoch 0: the full batch keeps every layer
+        of encode's blocks and the mini-batch epoch only the codes, and both
+        sum j1 to the same bits."""
         n = 2 * BLOCK_ROWS + 37
         ds = normalize(synth_blobs(n // 3 + 1, 3, 10, 6.0, 1.0, seed=10))
         dims = mirror_dims([10, 8, 6])
