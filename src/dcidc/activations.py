@@ -7,7 +7,8 @@ for both encoder and decoder.
 
 Each pass fills one array: ``apply(kind, y, out=y)`` overwrites y, as the
 forward pass does, and ``derivative`` computes in place in its one result,
-in the operand order of the plain expression beside each kind, bit for bit.
+a fresh array or the block buffer the backward pass reuses, in the operand
+order of the plain expression beside each kind, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,20 +61,24 @@ def apply(
     raise ValueError(f"unhandled activation kind {kind!r}")
 
 
-def derivative(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
-    """Elementwise derivative g'(y), given the output z = g(y), in one fresh array."""
+def derivative(
+    kind: ActivationKind, z: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Elementwise derivative g'(y), given the output z = g(y), written into
+    out (an array of z's shape and type, not z itself) or, without out,
+    into one fresh array."""
     if kind is ActivationKind.TANH:
-        d = np.multiply(z, z)
+        d = np.multiply(z, z, out=out)
         return np.subtract(1.0, d, out=d)  # 1 - z*z
     if kind is ActivationKind.SIGMOID:
-        d = np.subtract(1.0, z)
+        d = np.subtract(1.0, z, out=out)
         return np.multiply(z, d, out=d)  # z * (1 - z)
     if kind is ActivationKind.NSSIGMOID:
-        d = np.abs(z)
+        d = np.abs(z, out=out)
         np.subtract(1.0, d, out=d)  # 1 - |z| = 1 / (1 + |y|)
         return np.multiply(d, d, out=d)  # (1 - |z|) * (1 - |z|)
     if kind is ActivationKind.SOFTPLUS:
-        d = np.negative(z)
+        d = np.negative(z, out=out)
         np.expm1(d, out=d)
         return np.negative(d, out=d)  # -expm1(-z) = sigmoid(y), z = softplus(y)
     raise ValueError(f"unhandled activation kind {kind!r}")

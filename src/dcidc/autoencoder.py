@@ -23,9 +23,9 @@ squared reconstruction error, one float64 partial sum per block, as it
 goes.  For a full batch it keeps every layer's n rows, the trace the
 backward pass then takes; for a mini-batch epoch it keeps only the codes,
 which is what the cluster updates and the loss read.  The backward pass
-scales each signal by its activation derivative one row block at a time,
-so it holds at most two batch-sized signal arrays, never a batch-sized
-derivative.
+consumes its trace: a layer's output is dead once the layer above has
+formed its gradients from it, so each layer's signal is written over it,
+one row block at a time, and the pass allocates no batch-sized array.
 
 Parameters are float64 master weights.  A pass computes in the float type of
 its batch: training feeds float32, so the bulk arithmetic runs in float32,
@@ -79,6 +79,7 @@ class ForwardTrace:
 
     activations[0] is the input batch and activations[m] the output of
     layer m, so the code sits in the middle and the reconstruction last.
+    backward consumes a trace: it writes its signals over the outputs.
     """
 
     activations: list[np.ndarray]
@@ -212,21 +213,20 @@ def encode(params: NetworkParams, batch: np.ndarray, every_layer: bool,
     return ForwardTrace([batch, *layers[1:]]), error
 
 
-def _times_derivative(delta: np.ndarray, kind: ActivationKind,
-                      z: np.ndarray) -> np.ndarray:
-    """delta *= derivative(kind, z) in place, one row block at a time: the
-    product is elementwise, so the bits are those of the whole-array form."""
-    for rows in row_blocks(delta.shape[0]):
-        block = delta[rows]
-        block *= derivative(kind, z[rows])
-    return delta
-
-
 def reconstruction_deltas(params: NetworkParams, trace: ForwardTrace) -> np.ndarray:
-    """Backward signal of the reconstruction error at the output layer, N x dims[M]."""
+    """Backward signal of the reconstruction error at the output layer,
+    N x dims[M], written over the reconstruction one row block at a time:
+    the block's derivative first, then (out - x) times it.  Returns that
+    array, trace.reconstruction; the input is not written."""
     x, out = trace.activations[0], trace.reconstruction
-    delta = np.subtract(out, x)  # -(x - out), up to the sign of exact zeros
-    return _times_derivative(delta, params.layer_activation(params.num_layers), out)
+    kind = params.layer_activation(params.num_layers)
+    slopes = np.empty((min(out.shape[0], BLOCK_ROWS), out.shape[1]), out.dtype)
+    for rows in row_blocks(out.shape[0]):
+        block = out[rows]
+        slope = derivative(kind, block, out=slopes[:block.shape[0]])
+        block -= x[rows]  # -(x - out), up to the sign of exact zeros
+        block *= slope
+    return out
 
 
 def constraint_deltas(
@@ -234,16 +234,19 @@ def constraint_deltas(
     trace: ForwardTrace,
     assignments: np.ndarray,
     centers: np.ndarray,
+    rows: slice = slice(None),
 ) -> np.ndarray:
-    """Backward signal of the intra-class distance term at the code layer.
+    """Backward signal of the intra-class distance term at the code layer,
+    for the given rows of the batch (all of them by default).
 
     assignments holds each sample's cluster label.  (code - assigned center)
-    scaled by the activation derivative, N x code width, in the code's type;
-    backward weights it by lambda1.
+    scaled by the activation derivative, one row per code row, in the
+    code's type, in a fresh array; backward weights it by lambda1.
     """
-    code = trace.code
-    delta = clusters.residuals(code, assignments, centers, code.dtype)
-    return _times_derivative(delta, params.enc_activation, code)
+    code = trace.code[rows]
+    delta = clusters.residuals(code, assignments[rows], centers, code.dtype)
+    delta *= derivative(params.enc_activation, code)
+    return delta
 
 
 def backward(
@@ -262,34 +265,64 @@ def backward(
     biases.  The regularizer contributes once per call, not per sample.
     assignments holds one cluster label per batch row.  With lambda1 == 0
     the constraint term is skipped entirely and assignments/centers may be
-    None.  Each layer's gradients are formed as soon as its delta is known;
-    only the current delta is kept, and the constraint's signal only while
-    it is added at the code layer.
+    None.
+
+    The pass consumes the trace: each layer's signal is written over that
+    layer's output, which is dead once the layer above has formed its
+    gradients from it, so no batch-sized array is allocated.  Layer m's
+    gradients are formed while the output below it is intact; then the
+    signal below is written over that output one row block at a time (the
+    block's derivative, the block's product with W_m, and at the code
+    layer the block's constraint signal).  The input, activations[0], is
+    never written, and a call refused for its arguments writes nothing.
     """
-    m_total = params.num_layers
-    rows = [z.shape[0] for z in trace.activations]
-    if len(rows) != m_total + 1 or len(set(rows)) != 1:
-        raise ShapeMismatchError(
-            f"backward: the trace holds arrays of {rows} rows, a net of "
-            f"{m_total} layers needs every layer's output for all {rows[0]} "
-            f"rows ({m_total + 1} arrays)"
-        )
-    if lambda1 != 0.0 and (assignments is None or centers is None):
-        raise ValueError("backward: lambda1 != 0 requires assignments and centers")
+    m_total, half = params.num_layers, params.num_layers // 2
     z = trace.activations
+    n, shapes = z[0].shape[0], [a.shape for a in z]
+    if shapes != [(n, d) for d in params.dims]:
+        raise ShapeMismatchError(
+            f"backward: the trace holds arrays of shapes {shapes}, a net of "
+            f"{m_total} layers needs every layer's output for all {n} rows, "
+            f"of widths {params.dims}"
+        )
+    if lambda1 != 0.0:
+        if assignments is None or centers is None:
+            raise ValueError("backward: lambda1 != 0 requires assignments and centers")
+        if assignments.shape != (n,) or centers.shape[0] != params.code_dim:
+            raise ShapeMismatchError(
+                f"backward: assignments {assignments.shape} and centers "
+                f"{centers.shape} for {n} codes of width {params.code_dim}"
+            )
     d_weights, d_biases = [], []
     delta = reconstruction_deltas(params, trace)
     for m in range(m_total, 0, -1):
-        if m == m_total // 2 and lambda1 != 0.0:
-            constraint = constraint_deltas(params, trace, assignments, centers)
-            constraint *= lambda1
-            delta += constraint
-            del constraint
-        d_weights.append(delta.T @ z[m - 1] + lambda2 * params.weights[m - 1])
-        d_biases.append(column_sums(delta) + lambda2 * params.biases[m - 1])
-        if m > 1:
-            delta = delta @ params.weights[m - 1].astype(delta.dtype, copy=False)
-            _times_derivative(delta, params.layer_activation(m - 1), z[m - 1])
+        below = z[m - 1]
+        # lambda2 * W + delta^T z_{m-1}: addition commutes bit for bit
+        dw = lambda2 * params.weights[m - 1]
+        dw += delta.T @ below
+        db = lambda2 * params.biases[m - 1]
+        db += column_sums(delta)
+        d_weights.append(dw)
+        d_biases.append(db)
+        if m == 1:
+            break
+        kind = params.layer_activation(m - 1)
+        w = params.weights[m - 1].astype(delta.dtype, copy=False)
+        slopes = np.empty((min(n, BLOCK_ROWS), below.shape[1]), below.dtype)
+        constrained = m - 1 == half and lambda1 != 0.0
+        for rows in row_blocks(n):
+            block = below[rows]
+            slope = derivative(kind, block, out=slopes[:block.shape[0]])
+            if constrained:
+                constraint = constraint_deltas(params, trace, assignments, centers, rows)
+                constraint *= lambda1
+            # blocks are never short, so this has the whole product's bits
+            np.matmul(delta[rows], w, out=block)
+            block *= slope
+            if constrained:
+                block += constraint
+                del constraint  # freed before the next block's is formed
+        delta = below
     return Gradients(d_weights[::-1], d_biases[::-1])
 
 

@@ -8,9 +8,9 @@ on every weight and bias, or one per mini-batch of the shuffled samples.
 Assignments and centers are constants inside the gradient steps.  Both
 batch modes take the forward of all samples in row blocks
 (``autoencoder.encode``), with the float64 sum of squared reconstruction
-errors.  A full batch keeps every layer's output for its backward pass; a
-mini-batch epoch keeps only the codes, as each mini-batch runs its own
-forward.  Both cluster updates read the float32 codes as they are and
+errors.  A full batch keeps every layer's output for its backward pass,
+which writes its signals over them; a mini-batch epoch keeps only the
+codes, as each mini-batch runs its own forward.  Both cluster updates read the float32 codes as they are and
 widen them to float64 one member set or row block at a time, so an epoch
 keeps no float64 copy of the codes.  Every row block is cut by
 ``linalg.row_blocks``.

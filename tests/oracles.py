@@ -8,8 +8,9 @@ from collections import Counter
 
 import numpy as np
 
-from dcidc.autoencoder import forward
-from dcidc.linalg import frobenius_sq, row_blocks
+from dcidc.activations import derivative
+from dcidc.autoencoder import Gradients, forward
+from dcidc.linalg import column_sums, frobenius_sq, row_blocks
 
 
 def blocked_squared_error(x, y):
@@ -57,6 +58,39 @@ def numeric_gradients(params, batch, assignments, centers, lam1, lam2, h=1e-6):
 def guarded_rel(a, n):
     """Elementwise relative error, its denominator kept at 1e-3 or above."""
     return np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-3)
+
+
+def whole_array_signals(params, trace, assignments, centers, lam1):
+    """Each layer's backward signal, delta_1 .. delta_M, each taken over the
+    whole batch out of place, with every derivative over the whole batch
+    and the constraint signal formed before the pass and scaled out of
+    place.  The trace is only read."""
+    z = trace.activations
+    m_total = params.num_layers
+    out = z[-1]
+    delta = np.subtract(out, z[0]) * derivative(params.layer_activation(m_total), out)
+    code = trace.code
+    rows = np.ascontiguousarray(centers.T, dtype=code.dtype)
+    constraint = (code - rows[assignments]) * derivative(params.enc_activation, code)
+    signals = [delta]
+    for m in range(m_total, 1, -1):
+        w = params.weights[m - 1].astype(delta.dtype)
+        delta = (delta @ w) * derivative(params.layer_activation(m - 1), z[m - 1])
+        if m - 1 == m_total // 2:
+            delta = delta + lam1 * constraint
+        signals.append(delta)
+    return signals[::-1]
+
+
+def whole_array_backward(params, trace, assignments, centers, lam1, lam2):
+    """backward's gradients from whole_array_signals, with the regularizer
+    added last; the trace is only read."""
+    signals = whole_array_signals(params, trace, assignments, centers, lam1)
+    z = trace.activations
+    return Gradients(
+        [d.T @ a + lam2 * w for d, a, w in zip(signals, z, params.weights)],
+        [column_sums(d) + lam2 * b for d, b in zip(signals, params.biases)],
+    )
 
 
 def brute_force_accuracy(predicted, truth):

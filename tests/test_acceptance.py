@@ -96,10 +96,11 @@ def test_cluster_subproblem_oracles():
 def test_structural_invariants():
     params = init([6, 4, 2, 4, 6], ActivationKind.TANH, ActivationKind.TANH, 1)
     rng = np.random.default_rng(1)
-    trace = forward(params, rng.uniform(0, 1, size=(8, 6)))
+    batch = rng.uniform(0, 1, size=(8, 6))
     assignments, centers = init_indicator(8, 3, 1), rng.normal(size=(2, 3))
-    constrained = backward(params, trace, assignments, centers, 0.3, 0.0)
-    plain = backward(params, trace, assignments, centers, 0.0, 0.0)
+    # backward consumes its trace, so each call takes a fresh one
+    constrained = backward(params, forward(params, batch), assignments, centers, 0.3, 0.0)
+    plain = backward(params, forward(params, batch), assignments, centers, 0.0, 0.0)
     # the constraint reaches the encoder only: decoder gradients are untouched
     decoder_zero = all(
         np.array_equal(constrained.d_weights[m], plain.d_weights[m])

@@ -23,7 +23,14 @@ from dcidc.autoencoder import (
 )
 from dcidc.clusters import init_indicator
 from dcidc.linalg import BLOCK_ROWS, ShapeMismatchError, column_sums, row_blocks
-from oracles import blocked_squared_error, guarded_rel, numeric_gradients, reference_loss
+from oracles import (
+    blocked_squared_error,
+    guarded_rel,
+    numeric_gradients,
+    reference_loss,
+    whole_array_backward,
+    whole_array_signals,
+)
 
 TANH = ActivationKind.TANH
 
@@ -147,8 +154,9 @@ class TestBackward:
         params, batch, assignments, centers = random_instance(4, [5, 3, 2, 3, 5], 6, 2)
         trace = forward(params, batch)
         assert constraint_deltas(params, trace, assignments, centers).shape == (6, 2)
+        # backward consumes its trace, so each call takes a fresh one
         with_constraint = backward(params, trace, assignments, centers, 0.3, 3e-4)
-        plain = backward(params, trace, assignments, centers, 0.0, 3e-4)
+        plain = backward(params, forward(params, batch), assignments, centers, 0.0, 3e-4)
         half = params.num_layers // 2
         for m in range(half, params.num_layers):
             assert np.array_equal(with_constraint.d_weights[m], plain.d_weights[m])
@@ -188,6 +196,34 @@ class TestBackward:
         for wrong in (assignments[:5], np.eye(2)[assignments]):
             with pytest.raises(ShapeMismatchError):
                 backward(params, trace, wrong, centers, 0.3, 0.0)
+
+    MISMATCHES = {  # name -> (assignments, centers) from the good ones
+        "short assignments": lambda a, c: (a[:5], c),
+        "one-hot assignments": lambda a, c: (np.eye(2)[a], c),
+        "centers of the wrong width": lambda a, c: (a, np.zeros((3, 2))),
+    }
+
+    @pytest.mark.parametrize("mismatch", sorted(MISMATCHES))
+    def test_refused_call_leaves_trace_unchanged(self, mismatch):
+        """Shapes are checked before the pass writes its first signal."""
+        params, batch, assignments, centers = random_instance(2, [5, 3, 2, 3, 5], 6, 2)
+        trace = forward(params, batch)
+        snapshot = [a.tobytes() for a in trace.activations]
+        wrong = self.MISMATCHES[mismatch](assignments, centers)
+        with pytest.raises(ShapeMismatchError):
+            backward(params, trace, *wrong, 0.3, 0.0)
+        assert [a.tobytes() for a in trace.activations] == snapshot
+
+    @pytest.mark.parametrize("cut", [np.s_[:5], np.s_[:, :2]])
+    def test_refused_trace_left_unchanged(self, cut):
+        """A hidden layer short of a row or of a column."""
+        params, batch, assignments, centers = random_instance(2, [5, 3, 2, 3, 5], 6, 2)
+        trace = forward(params, batch)
+        trace.activations[1] = trace.activations[1][cut]
+        snapshot = [a.tobytes() for a in trace.activations]
+        with pytest.raises(ShapeMismatchError, match="every layer's output"):
+            backward(params, trace, assignments, centers, 0.3, 0.0)
+        assert [a.tobytes() for a in trace.activations] == snapshot
 
     def test_lambda1_zero_equals_plain_autoencoder(self):
         self._assert_equals_plain_autoencoder([6, 4, 2, 4, 6], 8)
@@ -303,10 +339,12 @@ def test_reconstruction_deltas_match_plain_expression(instance):
     trace = forward(params, batch)
     out = trace.reconstruction
     plain = -(batch - out) * derivative(params.dec_activation, out)
+    before = batch.tobytes()
     delta = reconstruction_deltas(params, trace)
     # out - x is -(x - out) bit for bit, but for the sign of exact zeros,
     # which array_equal does not see
     assert delta.dtype == plain.dtype and np.array_equal(delta, plain)
+    assert delta is out and batch.tobytes() == before
 
 
 @given(wide_range_instances())
@@ -319,11 +357,16 @@ def test_constraint_deltas_match_plain_expression(instance):
     plain = (code - assigned) * derivative(params.enc_activation, code)
     delta = constraint_deltas(params, trace, assignments, centers)
     assert delta.dtype == plain.dtype and delta.tobytes() == plain.tobytes()
+    tail = constraint_deltas(params, trace, assignments, centers, slice(1, None))
+    assert tail.tobytes() == plain[1:].tobytes()
 
 
 @pytest.mark.parametrize("kind", list(ActivationKind))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_passes_share_and_overwrite_no_trace_array(kind, dtype):
+    """forward shares no array between layers and leaves the batch as it
+    was; backward writes each layer's signal over that layer's output,
+    never over the batch."""
     params, batch, assignments, centers = random_instance(
         6, mirror_dims([6, 4, 2]), 9, 2, kind
     )
@@ -336,32 +379,11 @@ def test_passes_share_and_overwrite_no_trace_array(kind, dtype):
     for i in range(1, len(acts)):
         for j in range(i):
             assert not np.shares_memory(acts[i], acts[j]), (i, j)
-    snapshot = [a.copy() for a in acts]
+    signals = whole_array_signals(params, trace, assignments, centers, 0.3)
     backward(params, trace, assignments, centers, 0.3, 3e-4)
-    for a, s in zip(acts, snapshot):
-        assert a.tobytes() == s.tobytes()
-
-
-def whole_array_backward(params, trace, assignments, centers, lam1, lam2):
-    """backward with each derivative taken over the whole batch, and the
-    constraint signal formed before the pass and scaled out of place."""
-    z = trace.activations
-    m_total = params.num_layers
-    out = z[-1]
-    delta = np.subtract(out, z[0]) * derivative(params.layer_activation(m_total), out)
-    code = trace.code
-    rows = np.ascontiguousarray(centers.T, dtype=code.dtype)
-    constraint = (code - rows[assignments]) * derivative(params.enc_activation, code)
-    d_weights, d_biases = [None] * m_total, [None] * m_total
-    for m in range(m_total, 0, -1):
-        if m == m_total // 2:
-            delta = delta + lam1 * constraint
-        d_weights[m - 1] = delta.T @ z[m - 1] + lam2 * params.weights[m - 1]
-        d_biases[m - 1] = column_sums(delta) + lam2 * params.biases[m - 1]
-        if m > 1:
-            w = params.weights[m - 1].astype(delta.dtype)
-            delta = (delta @ w) * derivative(params.layer_activation(m - 1), z[m - 1])
-    return Gradients(d_weights, d_biases)
+    assert acts[0] is batch and batch.tobytes() == before.tobytes()
+    for m, signal in enumerate(signals, start=1):
+        assert acts[m].dtype == signal.dtype and acts[m].tobytes() == signal.tobytes(), m
 
 
 BLOCKED_NETS = {1: [1, 1, 1], 16: [16, 16, 16, 16, 16], 200: [200, 128, 64, 32]}
@@ -383,17 +405,21 @@ def test_row_blocked_backward_equals_whole_array_oracle(width, case, dtype):
     centers = rng.normal(0.0, 0.5, size=(params.code_dim, k))
     assignments = init_indicator(n, k, case)
     trace = forward(params, batch)
-    got = backward(params, trace, assignments, centers, 0.3, 3e-4)
     want = whole_array_backward(params, trace, assignments, centers, 0.3, 3e-4)
+    got = backward(params, trace, assignments, centers, 0.3, 3e-4)
     for a, b in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_backward_holds_two_signal_arrays_and_one_block():
-    """At the peak, two n-row signal arrays and one block-sized derivative
-    are live, besides the parameter-sized arrays (SLACK)."""
-    n, width, slack = 20000, 16, 16 * 1024
-    params, batch, assignments, centers = random_instance(5, [16, 16, 16], n, 9)
+@pytest.mark.parametrize("dims", [[16, 16, 16], mirror_dims([200, 128, 64, 32])])
+def test_backward_holds_a_few_blocks_besides_the_gradients(dims):
+    """Each signal is written over the trace, so at the peak no n-row array
+    is live: one block of derivatives of the widest layer, or at the code
+    layer three blocks (the derivative, the constraint signal and its
+    derivative), besides the gradients, their transient products (at most
+    as large again) and slack."""
+    n, slack = 20000, 16 * 1024
+    params, batch, assignments, centers = random_instance(5, dims, n, 9)
     trace = forward(params, batch.astype(np.float32))
     tracemalloc.start()
     try:
@@ -401,7 +427,9 @@ def test_backward_holds_two_signal_arrays_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n * width * 4 + BLOCK_ROWS * width * 4 + slack
+    gradients = sum(a.nbytes for a in params.weights + params.biases)
+    blocks = BLOCK_ROWS * max(max(dims), 3 * params.code_dim) * 4
+    assert peak <= blocks + 2 * gradients + slack
 
 
 ENCODE_NETS = {"200-128-64-32": [200, 128, 64, 32], "16-16": [16, 16],

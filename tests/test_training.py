@@ -6,12 +6,12 @@ import pytest
 
 from dcidc import autoencoder, clusters
 from dcidc.activations import ActivationKind
-from dcidc.autoencoder import encode, forward, init, mirror_dims
+from dcidc.autoencoder import ForwardTrace, encode, forward, init, mirror_dims
 from dcidc.clusters import ClusterState, init_indicator
 from dcidc.data import normalize, synth_blobs
 from dcidc.linalg import BLOCK_ROWS
 from dcidc.training import DivergenceError, TrainConfig, loss_terms, train
-from oracles import blocked_squared_error
+from oracles import blocked_squared_error, whole_array_backward
 
 TANH = ActivationKind.TANH
 
@@ -271,6 +271,34 @@ class TestTrain:
 
         assert run_bytes(*blocked) == run_bytes(*whole)
 
+    @pytest.mark.parametrize("batch_size", [None, 256])
+    def test_in_place_backward_leaves_train_byte_identical(self, monkeypatch, batch_size):
+        """Rows enough for three row blocks in each full-batch signal: in
+        both batch modes train runs as with the out-of-place whole-array
+        backward, given a copy of each trace."""
+        ds = normalize(synth_blobs((2 * BLOCK_ROWS + 37) // 3 + 1, 3, 10, 6.0, 1.0, seed=11))
+        cfg = TrainConfig(k=3, max_epochs=3, seed=11, batch_size=batch_size)
+        dims = mirror_dims([10, 8, 6])
+        in_place = train(ds.features, cfg, dims, labels=ds.labels)
+
+        rows = []
+
+        def out_of_place(params, trace, *args):
+            rows.append(trace.activations[0].shape[0])
+            copy = ForwardTrace([a.copy() for a in trace.activations])
+            return whole_array_backward(params, copy, *args)
+
+        monkeypatch.setattr(autoencoder, "backward", out_of_place)
+        whole = train(ds.features, cfg, dims, labels=ds.labels)
+        per_epoch = [ds.n] if batch_size is None else [256] * 16 + [ds.n % 256]
+        assert rows == per_epoch * 3
+
+        def run_bytes(params, state, reports):
+            arrays = params.weights + params.biases + [state.centers, state.indicator]
+            return [a.tobytes() for a in arrays], repr(reports)
+
+        assert run_bytes(*in_place) == run_bytes(*whole)
+
     def test_minibatch_epoch_holds_no_whole_data_hidden_layer(self):
         """At the peak: the codes of all n rows and one forward block,
         besides arrays the size of the parameters or of a mini-batch
@@ -292,12 +320,12 @@ class TestTrain:
         forward_block = BLOCK_ROWS * sum(dims[1:]) * 4
         assert peak <= codes + forward_block + slack
 
-    def test_full_batch_epoch_holds_trace_two_signals_and_one_block(self):
-        """At the peak: every layer's output for all n rows, the backward
-        pass's two signal arrays (of two adjacent layers) and one block,
-        besides arrays the size of the parameters (slack).  The float32
-        input is made before tracing starts, and train takes it without a
-        copy."""
+    def test_full_batch_epoch_holds_trace_and_two_blocks(self):
+        """At the peak: every layer's output for all n rows and two blocks
+        of the widest layer, besides arrays the size of the parameters
+        (slack); the backward pass writes its signals over the trace.  The
+        float32 input is made before tracing starts, and train takes it
+        without a copy."""
         encoder, slack = [200, 128, 64, 32], 1024 * 1024
         n = 8 * BLOCK_ROWS + 3616
         dims = mirror_dims(encoder)
@@ -310,9 +338,8 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         trace = n * sum(dims[1:]) * 4
-        signals = n * max(a + b for a, b in zip(dims, dims[1:])) * 4
-        block = BLOCK_ROWS * max(dims) * 4
-        assert peak <= trace + signals + block + slack
+        blocks = 2 * BLOCK_ROWS * max(dims) * 4
+        assert peak <= trace + blocks + slack
 
     def test_full_batch_and_minibatch_losses_equal_bit_for_bit(self):
         """The same parameters at epoch 0: the full batch keeps every layer
