@@ -235,17 +235,20 @@ def constraint_deltas(
     assignments: np.ndarray,
     centers: np.ndarray,
     rows: slice = slice(None),
+    slope: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backward signal of the intra-class distance term at the code layer,
     for the given rows of the batch (all of them by default).
 
     assignments holds each sample's cluster label.  (code - assigned center)
     scaled by the activation derivative, one row per code row, in the
-    code's type, in a fresh array; backward weights it by lambda1.
+    code's type, in a fresh array; backward weights it by lambda1.  slope,
+    when given, is that derivative for these rows, already computed from
+    the same code rows; without it the derivative is computed here.
     """
     code = trace.code[rows]
     delta = clusters.residuals(code, assignments[rows], centers, code.dtype)
-    delta *= derivative(params.enc_activation, code)
+    delta *= derivative(params.enc_activation, code) if slope is None else slope
     return delta
 
 
@@ -273,8 +276,9 @@ def backward(
     gradients are formed while the output below it is intact; then the
     signal below is written over that output one row block at a time (the
     block's derivative, the block's product with W_m, and at the code
-    layer the block's constraint signal).  The input, activations[0], is
-    never written, and a call refused for its arguments writes nothing.
+    layer the block's constraint signal, scaled by that same derivative).
+    The input, activations[0], is never written, and a call refused for
+    its arguments writes nothing.
     """
     m_total, half = params.num_layers, params.num_layers // 2
     z = trace.activations
@@ -314,7 +318,8 @@ def backward(
             block = below[rows]
             slope = derivative(kind, block, out=slopes[:block.shape[0]])
             if constrained:
-                constraint = constraint_deltas(params, trace, assignments, centers, rows)
+                constraint = constraint_deltas(params, trace, assignments, centers,
+                                               rows, slope)
                 constraint *= lambda1
             # blocks are never short, so this has the whole product's bits
             np.matmul(delta[rows], w, out=block)

@@ -12,15 +12,20 @@ of the code against the center columns and taking the largest coefficient
 nearest-center assignment only when the centers are orthonormal.
 
 The centers, the assignment and the intra-class error are float64, on
-``train``'s float32 codes as they are.  The center update widens each
-cluster's member rows before summing them.  The assignment factors only
-the k x k matrix S^T S, solves once for the projection
-P = (S^T S)^-1 S^T and labels the codes by the product Z P^T, taken one
-row block at a time (``linalg.row_blocks``): each block of codes is
-widened to float64, since a float32-by-float64 matrix product skips BLAS,
-and only its labels are kept, so no n-row float64 array is formed.  The
-intra-class error goes by the same blocks: it adds each block's float64
-partial sum, as ``autoencoder.encode`` does for the reconstruction.
+``train``'s float32 codes as they are, and each goes one row block at a
+time (``linalg.row_blocks``), so none forms a float64 copy of all the
+codes.  The center update widens a cluster's members block by block and
+carries the float64 sum of the blocks before it as the first row of the
+next block's sum, so the rows are added in one pass's order; a cluster
+of at most one block is widened whole.  The one exception is codes one
+column wide, which are summed pairwise and so widened whole (n float64
+values).  A re-seed takes its distances by the same blocks.  The
+assignment factors only the k x k matrix S^T S, solves once for the
+projection P = (S^T S)^-1 S^T and labels the codes by the product Z P^T,
+block by block: each block of codes is widened to float64, since a
+float32-by-float64 matrix product skips BLAS, and only its labels are
+kept.  The intra-class error adds each block's float64 partial sum, as
+``autoencoder.encode`` does for the reconstruction.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    BLOCK_ROWS,
     ShapeMismatchError,
     SingularMatrixError,
     column_sums,
@@ -75,8 +81,11 @@ def update_centers(
     A cluster with no members is re-seeded to the code row farthest from its
     previous center (or from the global code mean when no previous centers
     exist).  Returns the centers and the list of re-seeded cluster indices.
-    Codes are widened to float64 before any sum, so float32 codes give the
-    same centers, bit for bit, as the same codes widened by the caller.
+    Codes are widened to float64 before any sum, one row block of a
+    cluster's members at a time, with the float64 sum so far carried into
+    the next block's: float32 codes give the same centers, bit for bit, as
+    the same codes widened whole by the caller.  The re-seed distances are
+    taken block by block too, so no float64 array of all the rows is formed.
     """
     if codes.shape[0] != labels.shape[0]:
         raise ShapeMismatchError(
@@ -91,14 +100,45 @@ def update_centers(
             if prev_centers is not None:
                 reference = prev_centers[:, i]
             else:
-                reference = codes.astype(np.float64, copy=False).mean(axis=0)
-            dist_sq = ((codes - reference) ** 2).sum(axis=1)
-            centers[:, i] = codes[int(np.argmax(dist_sq))]
+                n = codes.shape[0]
+                reference = _member_sums(codes, np.arange(n)) / n
+            centers[:, i] = codes[_farthest_row(codes, reference)]
             reseeded.append(i)
         else:
-            rows = np.take(codes, members, axis=0).astype(np.float64, copy=False)
-            centers[:, i] = column_sums(rows) / count
+            centers[:, i] = _member_sums(codes, members) / count
     return centers, reseeded
+
+
+def _member_sums(codes: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """column_sums of the member rows widened to float64, bit for bit,
+    holding one row block (``linalg.row_blocks``) of them at a time.
+
+    Each block is widened into a buffer whose first row carries the float64
+    sum of the blocks before it, so the rows are added in the order of one
+    pass over all members.  Members that fit in one block are widened whole,
+    and so is a single column: it is one contiguous run, which column_sums
+    adds pairwise."""
+    if members.size <= BLOCK_ROWS or codes.shape[1] == 1:
+        return column_sums(np.take(codes, members, axis=0).astype(np.float64, copy=False))
+    block = np.zeros((min(members.size, BLOCK_ROWS) + 1, codes.shape[1]))
+    for rows in row_blocks(members.size):
+        size = rows.stop - rows.start
+        block[1:size + 1] = np.take(codes, members[rows], axis=0)
+        block[0] = column_sums(block[:size + 1])
+    return block[0]
+
+
+def _farthest_row(codes: np.ndarray, reference: np.ndarray) -> int:
+    """The index of the code row with the largest float64 squared distance
+    to reference, taken one row block at a time; the first maximum wins,
+    as in np.argmax over all rows."""
+    rows_at, peaks = [], []
+    for rows in row_blocks(codes.shape[0]):
+        dist_sq = ((codes[rows] - reference) ** 2).sum(axis=1)
+        at = int(np.argmax(dist_sq))
+        rows_at.append(rows.start + at)
+        peaks.append(dist_sq[at])
+    return rows_at[int(np.argmax(peaks))]
 
 
 def update_indicator(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:

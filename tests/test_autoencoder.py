@@ -359,6 +359,37 @@ def test_constraint_deltas_match_plain_expression(instance):
     assert delta.dtype == plain.dtype and delta.tobytes() == plain.tobytes()
     tail = constraint_deltas(params, trace, assignments, centers, slice(1, None))
     assert tail.tobytes() == plain[1:].tobytes()
+    slope = derivative(params.enc_activation, code[1:])
+    given_slope = constraint_deltas(params, trace, assignments, centers, slice(1, None), slope)
+    assert given_slope.tobytes() == plain[1:].tobytes()
+
+
+def test_backward_takes_one_derivative_per_layer_block(monkeypatch):
+    """The code layer's constraint signal reuses the slope backward has
+    computed for the block, so each layer takes one derivative per block,
+    and the gradients keep the bits of a constraint signal that computes
+    its own."""
+    n = 2 * BLOCK_ROWS + 5
+    dims = mirror_dims([6, 4, 2])
+    params, batch, assignments, centers = random_instance(8, dims, n, 3)
+    batch = batch.astype(np.float32)
+    # the constraint signal called without the block's slope
+    monkeypatch.setattr(autoencoder, "constraint_deltas",
+                        lambda *args: constraint_deltas(*args[:5]))
+    want = backward(params, forward(params, batch), assignments, centers, 0.3, 1e-3)
+    monkeypatch.undo()
+    calls = []
+
+    def spy(kind, z, out=None):
+        calls.append(z.shape[0])
+        return derivative(kind, z, out=out)
+
+    monkeypatch.setattr(autoencoder, "derivative", spy)
+    got = backward(params, forward(params, batch), assignments, centers, 0.3, 1e-3)
+    blocks = [r.stop - r.start for r in row_blocks(n)]
+    assert calls == blocks * params.num_layers
+    for a, b in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(ActivationKind))

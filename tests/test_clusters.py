@@ -232,6 +232,21 @@ def test_float32_centers_equal_widened_centers(seed):
         assert narrow[:, i].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("width", [1, 3, 16])
+def test_member_sums_over_row_blocks_equal_one_pass(width):
+    # float64 codes over twelve decades fill every mantissa bit, so a sum
+    # in any row order but one pass over the members rounds otherwise
+    n = 4 * BLOCK_ROWS + 13
+    rng = np.random.default_rng(width)
+    codes = rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+    labels = (rng.uniform(size=n) < 0.1).astype(np.int64)  # most rows in cluster 0
+    centers, _ = update_centers(codes, labels, 2)
+    for i in range(2):
+        members = codes[labels == i]
+        want = members.sum(axis=0) / len(members)
+        assert centers[:, i].tobytes() == want.tobytes()
+
+
 @given(labeled_codes())
 @settings(max_examples=100, deadline=None)
 def test_centers_inside_member_bounding_box(instance):
@@ -392,3 +407,47 @@ def test_indicator_on_float32_codes_widens_no_whole_code_array():
     finally:
         tracemalloc.stop()
     assert peak < n * width * 8
+
+
+def test_center_update_widens_no_whole_code_array():
+    # every row in cluster 0, so its members are all the codes, and the
+    # empty cluster 1 is re-seeded against its previous center
+    n, width = 20000, 16
+    rng = np.random.default_rng(6)
+    codes = rng.normal(size=(n, width)).astype(np.float32)
+    labels = np.zeros(n, dtype=np.int64)
+    prev = rng.normal(size=(width, 2))
+    tracemalloc.start()
+    try:
+        centers, reseeded = update_centers(codes, labels, 2, prev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reseeded == [1]
+    assert peak < n * width * 4
+
+
+@pytest.mark.parametrize("prev", [True, False])
+def test_reseed_over_row_blocks_equals_whole_array_argmax(prev):
+    n, width = 3 * BLOCK_ROWS + 11, 5
+    rng = np.random.default_rng(8)
+    codes = rng.uniform(-1, 1, size=(n, width)).astype(np.float32)
+    prev_centers = np.zeros((width, 2)) if prev else None
+    labels = np.zeros(n, dtype=np.int64)  # cluster 1 is empty
+
+    def reseeded_row(codes):
+        centers, reseeded = update_centers(codes, labels, 2, prev_centers)
+        assert reseeded == [1]
+        # the whole-array oracle, from the previous center or the code mean
+        reference = np.zeros(width) if prev else codes.astype(np.float64).mean(axis=0)
+        want = int(np.argmax(((codes - reference) ** 2).sum(axis=1)))
+        assert centers[:, 1].tobytes() == codes[want].astype(np.float64).tobytes()
+        return want
+
+    far = np.full(width, 40.0, dtype=np.float32)
+    codes[n - 3] = far  # the farthest row, in the last block
+    assert reseeded_row(codes) == n - 3
+    if prev:
+        # another row as far from the zero center, in the first block, wins the tie
+        codes[BLOCK_ROWS // 2] = far * [-1, 1, 1, 1, 1]
+        assert reseeded_row(codes) == BLOCK_ROWS // 2
