@@ -175,8 +175,6 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=Path("BENCH_AB.json"))
     parser.add_argument("--claim", help="WORKLOAD/METRIC the change claims to improve")
     parser.add_argument("--what", default="", help="what the change does, for 'what'")
-    parser.add_argument("--parent-label", help="'parent' in the file; the tree's git commit by default")
-    parser.add_argument("--change-label", help="'change' in the file; the tree's git commit by default")
     args = parser.parse_args()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
@@ -198,8 +196,8 @@ def main() -> int:
         what += f" Claim: {args.claim.replace('/', ' ')}."
     record = {
         "what": f"{what} {args.what}".strip(),
-        "parent": args.parent_label or tree_label(args.parent),
-        "change": args.change_label or tree_label(args.change),
+        "parent": tree_label(args.parent),
+        "change": tree_label(args.change),
         "note": "",
         "environment": None,
     }

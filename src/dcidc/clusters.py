@@ -16,16 +16,15 @@ The centers, the assignment and the intra-class error are float64, on
 time (``linalg.row_blocks``), so none forms a float64 copy of all the
 codes.  The center update widens a cluster's members block by block and
 carries the float64 sum of the blocks before it as the first row of the
-next block's sum, so the rows are added in one pass's order; a cluster
-of at most one block is widened whole.  The one exception is codes one
-column wide, which are summed pairwise and so widened whole (n float64
-values).  A re-seed takes its distances by the same blocks.  The
-assignment factors only the k x k matrix S^T S, solves once for the
-projection P = (S^T S)^-1 S^T and labels the codes by the product Z P^T,
-block by block: each block of codes is widened to float64, since a
-float32-by-float64 matrix product skips BLAS, and only its labels are
-kept.  The intra-class error adds each block's float64 partial sum, as
-``autoencoder.encode`` does for the reconstruction.
+next block's sum, so the rows are added in one pass's order.  The one
+exception is codes one column wide, which are summed pairwise and so
+widened whole (n float64 values).  A re-seed takes its distances by the
+same blocks.  The assignment factors only the k x k matrix S^T S, solves
+once for the projection P = (S^T S)^-1 S^T and labels the codes by the
+product Z P^T, block by block: each block of codes is widened to
+float64, since a float32-by-float64 matrix product skips BLAS, and only
+its labels are kept.  The intra-class error adds each block's float64
+partial sum, as ``autoencoder.encode`` does for the reconstruction.
 """
 
 from __future__ import annotations
@@ -114,11 +113,11 @@ def _member_sums(codes: np.ndarray, members: np.ndarray) -> np.ndarray:
     holding one row block (``linalg.row_blocks``) of them at a time.
 
     Each block is widened into a buffer whose first row carries the float64
-    sum of the blocks before it, so the rows are added in the order of one
-    pass over all members.  Members that fit in one block are widened whole,
-    and so is a single column: it is one contiguous run, which column_sums
-    adds pairwise."""
-    if members.size <= BLOCK_ROWS or codes.shape[1] == 1:
+    sum of the blocks before it (zeros for the first), so the rows are
+    added in the order of one pass over all members.  A single column is
+    widened whole: it is one contiguous run, which column_sums adds
+    pairwise."""
+    if codes.shape[1] == 1:
         return column_sums(np.take(codes, members, axis=0).astype(np.float64, copy=False))
     block = np.zeros((min(members.size, BLOCK_ROWS) + 1, codes.shape[1]))
     for rows in row_blocks(members.size):

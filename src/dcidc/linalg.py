@@ -19,7 +19,8 @@ import numpy as np
 RIDGE = 1e-8
 # Most rows per block of every row-blocked pass (the epoch forward, which
 # both batch modes run in blocks, and its j1 sum; the backward pass's
-# signal products and derivatives; the assignment): the smallest block
+# signal products and derivatives; the center update's member sums and
+# re-seed distances; the assignment): the smallest block
 # whose forward over 20000 x 200 rows (200-128-64-32) was as fast as one
 # call on the whole batch (1024 rows took 8% longer).
 BLOCK_ROWS = 2048
