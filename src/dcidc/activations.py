@@ -5,7 +5,7 @@ sigmoid y / (1 + |y|), and softplus.  Derivatives are written in the
 layer's output z = g(y), the one value backprop keeps.  Tanh is the default
 for both encoder and decoder.
 
-Each pass fills one array: ``apply(kind, y, out=y)`` overwrites y, as the
+Each pass fills one array: ``apply(kind, y)`` overwrites y, as the
 forward pass does, and ``derivative`` computes in place in its one result,
 a fresh array or the block buffer the backward pass reuses, in the operand
 order of the plain expression beside each kind, bit for bit.
@@ -37,27 +37,25 @@ def parse_kind(name: str) -> ActivationKind:
         raise ValueError(f"unknown activation {name!r}; choose one of: {choices}")
 
 
-def apply(
-    kind: ActivationKind, y: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Elementwise activation value at pre-activation y, written into out
-    (which may be y itself) or, without out, into one fresh array."""
+def apply(kind: ActivationKind, y: np.ndarray) -> np.ndarray:
+    """Elementwise activation value at pre-activation y, written over y,
+    which is returned."""
     if kind is ActivationKind.TANH:
-        return np.tanh(y, out=out)
+        return np.tanh(y, out=y)
     if kind is ActivationKind.SIGMOID:  # where(y >= 0, 1, e) / (1 + e), e = exp(-|y|)
         e = np.abs(y)
         np.exp(np.negative(e, out=e), out=e)
         num = np.where(y >= 0, 1.0, e)
         e += 1.0
-        return np.divide(num, e, out=num if out is None else out)
+        return np.divide(num, e, out=y)
     if kind is ActivationKind.NSSIGMOID:
         den = np.abs(y)
         den += 1.0
-        return np.divide(y, den, out=den if out is None else out)  # y / (1 + |y|)
+        return np.divide(y, den, out=y)  # y / (1 + |y|)
     if kind is ActivationKind.SOFTPLUS:  # log1p(exp(-|y|)) + max(y, 0)
         t = np.abs(y)
         np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
-        return np.add(t, np.maximum(y, 0.0), out=t if out is None else out)
+        return np.add(t, np.maximum(y, 0.0), out=y)
     raise ValueError(f"unhandled activation kind {kind!r}")
 
 

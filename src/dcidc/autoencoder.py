@@ -171,7 +171,7 @@ def forward(params: NetworkParams, batch: np.ndarray,
         y = np.matmul(acts[-1], w.astype(dtype, copy=False).T,
                       out=None if out is None else out.activations[m])
         y += b.astype(dtype, copy=False)
-        acts.append(apply(params.layer_activation(m), y, out=y))
+        acts.append(apply(params.layer_activation(m), y))
     return ForwardTrace(acts)
 
 
@@ -230,33 +230,23 @@ def reconstruction_deltas(params: NetworkParams, trace: ForwardTrace) -> np.ndar
 
 
 def constraint_deltas(
-    params: NetworkParams,
-    trace: ForwardTrace,
-    assignments: np.ndarray,
-    centers: np.ndarray,
-    rows: slice = slice(None),
-    slope: np.ndarray | None = None,
+    code: np.ndarray, assignments: np.ndarray, centers: np.ndarray, slope: np.ndarray
 ) -> np.ndarray:
     """Backward signal of the intra-class distance term at the code layer,
-    for the given rows of the batch (all of them by default).
-
-    assignments holds each sample's cluster label.  (code - assigned center)
-    scaled by the activation derivative, one row per code row, in the
-    code's type, in a fresh array; backward weights it by lambda1.  slope,
-    when given, is that derivative for these rows, already computed from
-    the same code rows; without it the derivative is computed here.
-    """
-    code = trace.code[rows]
-    delta = clusters.residuals(code, assignments[rows], centers, code.dtype)
-    delta *= derivative(params.enc_activation, code) if slope is None else slope
+    for one block of code rows: (code - assigned center) times slope, the
+    activation derivative at those rows, in the code's type, in a fresh
+    array.  assignments holds each row's cluster label; backward weights
+    the signal by lambda1."""
+    delta = clusters.residuals(code, assignments, centers, code.dtype)
+    delta *= slope
     return delta
 
 
 def backward(
     params: NetworkParams,
     trace: ForwardTrace,
-    assignments: np.ndarray | None,
-    centers: np.ndarray | None,
+    assignments: np.ndarray,
+    centers: np.ndarray,
     lambda1: float,
     lambda2: float,
 ) -> Gradients:
@@ -266,9 +256,9 @@ def backward(
     lambda1/2 times the squared distance of each code to its assigned
     center, plus lambda2/2 times the squared norms of all weights and
     biases.  The regularizer contributes once per call, not per sample.
-    assignments holds one cluster label per batch row.  With lambda1 == 0
-    the constraint term is skipped entirely and assignments/centers may be
-    None.
+    assignments holds one cluster label per batch row and centers one
+    column per cluster; their shapes are checked whatever lambda1 is, and
+    with lambda1 == 0 the constraint term is skipped entirely.
 
     The pass consumes the trace: each layer's signal is written over that
     layer's output, which is dead once the layer above has formed its
@@ -289,14 +279,11 @@ def backward(
             f"{m_total} layers needs every layer's output for all {n} rows, "
             f"of widths {params.dims}"
         )
-    if lambda1 != 0.0:
-        if assignments is None or centers is None:
-            raise ValueError("backward: lambda1 != 0 requires assignments and centers")
-        if assignments.shape != (n,) or centers.shape[0] != params.code_dim:
-            raise ShapeMismatchError(
-                f"backward: assignments {assignments.shape} and centers "
-                f"{centers.shape} for {n} codes of width {params.code_dim}"
-            )
+    if assignments.shape != (n,) or centers.shape[0] != params.code_dim:
+        raise ShapeMismatchError(
+            f"backward: assignments {assignments.shape} and centers "
+            f"{centers.shape} for {n} codes of width {params.code_dim}"
+        )
     d_weights, d_biases = [], []
     delta = reconstruction_deltas(params, trace)
     for m in range(m_total, 0, -1):
@@ -318,8 +305,7 @@ def backward(
             block = below[rows]
             slope = derivative(kind, block, out=slopes[:block.shape[0]])
             if constrained:
-                constraint = constraint_deltas(params, trace, assignments, centers,
-                                               rows, slope)
+                constraint = constraint_deltas(block, assignments[rows], centers, slope)
                 constraint *= lambda1
             # blocks are never short, so this has the whole product's bits
             np.matmul(delta[rows], w, out=block)

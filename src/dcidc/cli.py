@@ -209,7 +209,7 @@ def cmd_gradcheck(args) -> int:
     batch = rng.uniform(0.0, 1.0, size=(args.samples, dims[0]))
     assignments = clusters.init_indicator(args.samples, config.k, config.seed)
     centers = rng.normal(0.0, 0.5, size=(params.code_dim, config.k))
-    worst, where, _, _ = gradcheck.check(
+    worst, where = gradcheck.check(
         params, batch, assignments, centers, config.lambda1, config.lambda2, args.step
     )
     print(f"max relative error {worst:.3e} at {where} (tolerance {args.tolerance:g})")

@@ -78,8 +78,9 @@ def update_centers(
     """The k center columns as per-cluster means of the labelled code rows.
 
     A cluster with no members is re-seeded to the code row farthest from its
-    previous center (or from the global code mean when no previous centers
-    exist).  Returns the centers and the list of re-seeded cluster indices.
+    previous center; prev_centers may be None only when no cluster is empty,
+    as at train's epoch 0, where init_indicator puts row i in cluster i for
+    every i < k.  Returns the centers and the list of re-seeded clusters.
     Codes are widened to float64 before any sum, one row block of a
     cluster's members at a time, with the float64 sum so far carried into
     the next block's: float32 codes give the same centers, bit for bit, as
@@ -96,12 +97,7 @@ def update_centers(
         members = np.flatnonzero(labels == i)
         count = members.size
         if count == 0:
-            if prev_centers is not None:
-                reference = prev_centers[:, i]
-            else:
-                n = codes.shape[0]
-                reference = _member_sums(codes, np.arange(n)) / n
-            centers[:, i] = codes[_farthest_row(codes, reference)]
+            centers[:, i] = codes[_farthest_row(codes, prev_centers[:, i])]
             reseeded.append(i)
         else:
             centers[:, i] = _member_sums(codes, members) / count

@@ -32,6 +32,7 @@ from .seeding import substream
 _MAGIC = b"DCMX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sBII")
+_FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest value dcmx stores
 
 
 class DataFormatError(ValueError):
@@ -57,8 +58,13 @@ def dcmx_bytes(matrix: np.ndarray) -> bytes:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"dcmx stores 2-D matrices, got shape {matrix.shape}")
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        stored = np.ascontiguousarray(matrix, dtype="<f4")
+    if (np.isinf(stored) & np.isfinite(matrix)).any():
+        raise ValueError(f"dcmx stores 32-bit floats; a value of the {matrix.shape} "
+                         f"matrix is beyond +/-{_FLOAT32_MAX:.4g}")
     header = _HEADER.pack(_MAGIC, _VERSION, matrix.shape[0], matrix.shape[1])
-    return header + np.ascontiguousarray(matrix, dtype="<f4").tobytes()
+    return header + stored.tobytes()
 
 
 def read_dcmx(raw: bytes, offset: int, source: str) -> tuple[np.ndarray, int]:
@@ -269,6 +275,9 @@ def synth_blobs(
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = substream(seed, "synth")
     side = separation * max(2.0, k ** (1.0 / dim))
+    if side > _FLOAT32_MAX:  # dcmx could not store the centers
+        raise ValueError(f"separation {separation:g} needs a box of side {side:.3g}, "
+                         f"beyond the 32-bit float range")
     centers = None
     for _ in range(100):
         candidate = rng.uniform(0.0, side, size=(k, dim))

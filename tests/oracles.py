@@ -64,7 +64,9 @@ def whole_array_signals(params, trace, assignments, centers, lam1):
     """Each layer's backward signal, delta_1 .. delta_M, each taken over the
     whole batch out of place, with every derivative over the whole batch
     and the constraint signal formed before the pass and scaled out of
-    place.  The trace is only read."""
+    place.  Each product with a layer's weights goes through np.matmul, as
+    backward's do, so a test that swaps np.matmul swaps it in both.  The
+    trace is only read."""
     z = trace.activations
     m_total = params.num_layers
     out = z[-1]
@@ -75,7 +77,7 @@ def whole_array_signals(params, trace, assignments, centers, lam1):
     signals = [delta]
     for m in range(m_total, 1, -1):
         w = params.weights[m - 1].astype(delta.dtype)
-        delta = (delta @ w) * derivative(params.layer_activation(m - 1), z[m - 1])
+        delta = np.matmul(delta, w) * derivative(params.layer_activation(m - 1), z[m - 1])
         if m - 1 == m_total // 2:
             delta = delta + lam1 * constraint
         signals.append(delta)

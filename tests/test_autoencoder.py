@@ -146,14 +146,16 @@ class TestBackward:
         for w in params.weights:
             w[:] = 0.0
         batch = np.zeros((3, 4))
-        grads = backward(params, forward(params, batch), None, None, 0.0, 0.0)
+        labels, centers = np.zeros(3, dtype=np.int64), np.zeros((2, 1))
+        grads = backward(params, forward(params, batch), labels, centers, 0.0, 0.0)
         assert all(np.all(dw == 0.0) for dw in grads.d_weights)
         assert all(np.all(db == 0.0) for db in grads.d_biases)
 
     def test_decoder_constraint_terms_structurally_zero(self):
         params, batch, assignments, centers = random_instance(4, [5, 3, 2, 3, 5], 6, 2)
         trace = forward(params, batch)
-        assert constraint_deltas(params, trace, assignments, centers).shape == (6, 2)
+        slope = derivative(params.enc_activation, trace.code)
+        assert constraint_deltas(trace.code, assignments, centers, slope).shape == (6, 2)
         # backward consumes its trace, so each call takes a fresh one
         with_constraint = backward(params, trace, assignments, centers, 0.3, 3e-4)
         plain = backward(params, forward(params, batch), assignments, centers, 0.0, 3e-4)
@@ -235,9 +237,9 @@ class TestBackward:
         self._assert_equals_plain_autoencoder(dims, 3000)
 
     def _assert_equals_plain_autoencoder(self, dims, n):
-        params, batch, _, _ = random_instance(7, dims, n, 3)
+        params, batch, assignments, centers = random_instance(7, dims, n, 3)
         trace = forward(params, batch)
-        got = backward(params, trace, None, None, 0.0, 3e-4)
+        got = backward(params, trace, assignments, centers, 0.0, 3e-4)
         want = self._plain_autoencoder_gradients(params, batch, 3e-4)
         for a, b in zip(got.d_weights, want.d_weights):
             assert np.array_equal(a, b)
@@ -354,14 +356,13 @@ def test_constraint_deltas_match_plain_expression(instance):
     trace = forward(params, batch)
     code = trace.code
     assigned = (np.eye(centers.shape[1])[assignments] @ centers.T).astype(code.dtype)
-    plain = (code - assigned) * derivative(params.enc_activation, code)
-    delta = constraint_deltas(params, trace, assignments, centers)
+    slope = derivative(params.enc_activation, code)
+    plain = (code - assigned) * slope
+    delta = constraint_deltas(code, assignments, centers, slope)
     assert delta.dtype == plain.dtype and delta.tobytes() == plain.tobytes()
-    tail = constraint_deltas(params, trace, assignments, centers, slice(1, None))
+    # a block of rows, as backward passes it
+    tail = constraint_deltas(code[1:], assignments[1:], centers, slope[1:])
     assert tail.tobytes() == plain[1:].tobytes()
-    slope = derivative(params.enc_activation, code[1:])
-    given_slope = constraint_deltas(params, trace, assignments, centers, slice(1, None), slope)
-    assert given_slope.tobytes() == plain[1:].tobytes()
 
 
 def test_backward_takes_one_derivative_per_layer_block(monkeypatch):
@@ -373,9 +374,12 @@ def test_backward_takes_one_derivative_per_layer_block(monkeypatch):
     dims = mirror_dims([6, 4, 2])
     params, batch, assignments, centers = random_instance(8, dims, n, 3)
     batch = batch.astype(np.float32)
-    # the constraint signal called without the block's slope
-    monkeypatch.setattr(autoencoder, "constraint_deltas",
-                        lambda *args: constraint_deltas(*args[:5]))
+    # a constraint signal that takes its own derivative of the code block
+    def own_slope(code, assignments, centers, slope):
+        return constraint_deltas(code, assignments, centers,
+                                 derivative(params.enc_activation, code))
+
+    monkeypatch.setattr(autoencoder, "constraint_deltas", own_slope)
     want = backward(params, forward(params, batch), assignments, centers, 0.3, 1e-3)
     monkeypatch.undo()
     calls = []

@@ -102,6 +102,17 @@ class TestSynth:
             assert "seed must be >= 0, got -1" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [("--separation", "1e300"),
+                                             ("--noise-sigma", "1e39")])
+    def test_values_beyond_float32_exit_2_writing_nothing(self, tmp_path, capsys,
+                                                          flag, value):
+        """dcmx stores 32-bit floats, so data it would store as inf is refused
+        before either file is written, without an overflow warning."""
+        out = tmp_path / "blobs.dcmx"
+        assert main(["synth", "--out", str(out), "--k", "3", flag, value]) == 2
+        assert "32-bit float" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_end_to_end_writes_artifacts(self, blob_file, tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dcidc.activations import ActivationKind, derivative
-from dcidc.autoencoder import ForwardTrace, constraint_deltas, init
+from dcidc.autoencoder import constraint_deltas
 from dcidc.clusters import (
     DegenerateCentersError,
     binarize,
@@ -84,15 +84,6 @@ class TestUpdateCenters:
         centers, reseeded = update_centers(codes, labels, 2, prev)
         assert reseeded == [1]
         assert np.array_equal(centers[:, 1], [9.0, 9.0])
-
-    def test_empty_last_cluster_without_previous_centers(self):
-        # the labels cannot show that cluster k-1 exists; k says so, and with
-        # no previous centers it is re-seeded against the global code mean
-        codes = np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 9.0]])
-        centers, reseeded = update_centers(codes, np.array([0, 1, 1]), 3)
-        assert centers.shape == (2, 3)
-        assert reseeded == [2]
-        assert np.array_equal(centers[:, 2], [9.0, 9.0])  # farthest from the mean
 
     def test_shape_mismatch(self):
         with pytest.raises(Exception):
@@ -222,8 +213,9 @@ def test_float32_centers_equal_widened_centers(seed):
     scale = 10 ** rng.uniform(-3, 3)
     codes = (rng.standard_normal((n, width)) * scale).astype(np.float32)
     labels = rng.integers(0, k, size=n)
-    narrow, narrow_reseeded = update_centers(codes, labels, k)
-    wide, wide_reseeded = update_centers(codes.astype(np.float64), labels, k)
+    prev = rng.normal(size=(width, k))  # a few hundred rows may leave a cluster empty
+    narrow, narrow_reseeded = update_centers(codes, labels, k, prev)
+    wide, wide_reseeded = update_centers(codes.astype(np.float64), labels, k, prev)
     assert narrow.dtype == np.float64
     assert np.array_equal(narrow, wide) and narrow_reseeded == wide_reseeded
     for i in set(range(k)) - set(narrow_reseeded):  # the mask-loop oracle
@@ -251,7 +243,8 @@ def test_member_sums_over_row_blocks_equal_one_pass(width):
 @settings(max_examples=100, deadline=None)
 def test_centers_inside_member_bounding_box(instance):
     codes, labels, k = instance
-    centers, reseeded = update_centers(codes, labels, k)
+    prev = np.zeros((codes.shape[1], k))  # some clusters may be empty
+    centers, reseeded = update_centers(codes, labels, k, prev)
     for i in range(k):
         if i in reseeded:
             continue
@@ -315,11 +308,10 @@ def test_label_gather_equals_one_hot_product(dtype, n, width, k, draw):
     expected = frobenius_sq(codes.astype(np.float64) - one_hot @ centers.T)
     assert intra_class_error(codes, labels, centers) == expected
 
-    params = init([width, width, width], ActivationKind.TANH, ActivationKind.TANH, 0)
-    trace = ForwardTrace([codes, codes, codes])
+    slope = derivative(ActivationKind.TANH, codes)
     assigned = one_hot.astype(dtype) @ centers.T.astype(dtype)
-    expected = (codes - assigned) * derivative(ActivationKind.TANH, codes)
-    got = constraint_deltas(params, trace, labels, centers)
+    expected = (codes - assigned) * slope
+    got = constraint_deltas(codes, labels, centers, slope)
     assert got.dtype == dtype and np.array_equal(got, expected)
 
 
@@ -427,27 +419,24 @@ def test_center_update_widens_no_whole_code_array():
     assert peak < n * width * 4
 
 
-@pytest.mark.parametrize("prev", [True, False])
-def test_reseed_over_row_blocks_equals_whole_array_argmax(prev):
+def test_reseed_over_row_blocks_equals_whole_array_argmax():
     n, width = 3 * BLOCK_ROWS + 11, 5
     rng = np.random.default_rng(8)
     codes = rng.uniform(-1, 1, size=(n, width)).astype(np.float32)
-    prev_centers = np.zeros((width, 2)) if prev else None
+    prev_centers = np.zeros((width, 2))
     labels = np.zeros(n, dtype=np.int64)  # cluster 1 is empty
 
     def reseeded_row(codes):
         centers, reseeded = update_centers(codes, labels, 2, prev_centers)
         assert reseeded == [1]
-        # the whole-array oracle, from the previous center or the code mean
-        reference = np.zeros(width) if prev else codes.astype(np.float64).mean(axis=0)
-        want = int(np.argmax(((codes - reference) ** 2).sum(axis=1)))
+        # the whole-array oracle, from the previous center
+        want = int(np.argmax(((codes - prev_centers[:, 1]) ** 2).sum(axis=1)))
         assert centers[:, 1].tobytes() == codes[want].astype(np.float64).tobytes()
         return want
 
     far = np.full(width, 40.0, dtype=np.float32)
     codes[n - 3] = far  # the farthest row, in the last block
     assert reseeded_row(codes) == n - 3
-    if prev:
-        # another row as far from the zero center, in the first block, wins the tie
-        codes[BLOCK_ROWS // 2] = far * [-1, 1, 1, 1, 1]
-        assert reseeded_row(codes) == BLOCK_ROWS // 2
+    # another row as far from the zero center, in the first block, wins the tie
+    codes[BLOCK_ROWS // 2] = far * [-1, 1, 1, 1, 1]
+    assert reseeded_row(codes) == BLOCK_ROWS // 2

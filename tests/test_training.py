@@ -14,6 +14,27 @@ from dcidc.training import DivergenceError, TrainConfig, loss_terms, train
 from oracles import blocked_squared_error, whole_array_backward
 
 TANH = ActivationKind.TANH
+SHORT_ROWS = 64  # fewer rows than this round otherwise under the fixture
+
+
+@pytest.fixture(params=["numpy", "short-rounds-up"])
+def matmul(request, monkeypatch):
+    """np.matmul as numpy has it, or as a BLAS that rounds a product over a
+    short left operand otherwise than a long one's: numpy's product, then
+    every entry moved one ulp up.  forward and backward call np.matmul
+    through the numpy module, so the swap reaches every row block they
+    multiply; a block cut short then shows in the bits."""
+    if request.param == "short-rounds-up":
+        exact = np.matmul
+
+        def rounding(a, b, *args, **kwargs):
+            product = exact(a, b, *args, **kwargs)
+            if np.ndim(a) == 2 and np.shape(a)[0] < SHORT_ROWS:
+                np.nextafter(product, np.inf, out=product)
+            return product
+
+        monkeypatch.setattr(np, "matmul", rounding)
+    return request.param
 
 
 def scalar_loss_terms(params, trace, labels, centers, lam1, lam2):
@@ -244,7 +265,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("batch_size", [None, 7, 64, 256])
     def test_blocked_epoch_forward_leaves_train_byte_identical(self, monkeypatch,
-                                                               batch_size):
+                                                               batch_size, matmul):
         """Rows enough for three forward blocks, so the codes of an epoch,
         and for a full batch the trace of its backward pass, come from
         several forward calls: train runs as with one whole-batch forward."""
@@ -272,7 +293,8 @@ class TestTrain:
         assert run_bytes(*blocked) == run_bytes(*whole)
 
     @pytest.mark.parametrize("batch_size", [None, 256])
-    def test_in_place_backward_leaves_train_byte_identical(self, monkeypatch, batch_size):
+    def test_in_place_backward_leaves_train_byte_identical(self, monkeypatch, batch_size,
+                                                           matmul):
         """Rows enough for three row blocks in each full-batch signal: in
         both batch modes train runs as with the out-of-place whole-array
         backward, given a copy of each trace."""
