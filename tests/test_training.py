@@ -14,14 +14,13 @@ from dcidc.training import DivergenceError, TrainConfig, loss_terms, train
 from oracles import blocked_squared_error, whole_array_backward
 
 TANH = ActivationKind.TANH
-SHORT_ROWS = 64  # fewer rows than this round otherwise under the fixture
 
 
 @pytest.fixture(params=["numpy", "short-rounds-up"])
 def matmul(request, monkeypatch):
     """np.matmul as numpy has it, or as a BLAS that rounds a product over a
-    short left operand otherwise than a long one's: numpy's product, then
-    every entry moved one ulp up.  forward and backward call np.matmul
+    short left operand (under 64 rows) otherwise than a long one's: numpy's
+    product, then every entry moved one ulp up.  forward and backward call np.matmul
     through the numpy module, so the swap reaches every row block they
     multiply; a block cut short then shows in the bits."""
     if request.param == "short-rounds-up":
@@ -29,12 +28,11 @@ def matmul(request, monkeypatch):
 
         def rounding(a, b, *args, **kwargs):
             product = exact(a, b, *args, **kwargs)
-            if np.ndim(a) == 2 and np.shape(a)[0] < SHORT_ROWS:
+            if np.ndim(a) == 2 and np.shape(a)[0] < 64:
                 np.nextafter(product, np.inf, out=product)
             return product
 
         monkeypatch.setattr(np, "matmul", rounding)
-    return request.param
 
 
 def scalar_loss_terms(params, trace, labels, centers, lam1, lam2):
