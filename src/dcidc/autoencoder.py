@@ -16,9 +16,8 @@ there.  Activation derivatives are taken from layer outputs, so a forward
 trace keeps only those.  Cluster assignments and centers are constants
 here, updated elsewhere in closed form.
 
-A trace is every layer's output: what ``backward`` needs.  Both batch
-modes take an epoch's forward over all samples from ``encode``, which runs
-``forward`` one row block at a time (``linalg.row_blocks``) and sums the
+A trace is every layer's output: what ``backward`` needs.  ``forward`` runs
+every batch one row block at a time (``linalg.row_blocks``) and sums the
 squared reconstruction error, one float64 partial sum per block, as it
 goes.  For a full batch it keeps every layer's n rows, the trace the
 backward pass then takes; for a mini-batch epoch it keeps only the codes,
@@ -75,7 +74,8 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """Every layer's output for one batch, from forward.
+    """Every layer's output for one batch and the float64 sum of its squared
+    reconstruction errors, from forward.
 
     activations[0] is the input batch and activations[m] the output of
     layer m, so the code sits in the middle and the reconstruction last.
@@ -83,6 +83,7 @@ class ForwardTrace:
     """
 
     activations: list[np.ndarray]
+    squared_error: float
 
     @property
     def pre_activations(self) -> list[np.ndarray]:
@@ -152,65 +153,50 @@ def init(
     return NetworkParams(weights, biases, enc_activation, dec_activation)
 
 
-def forward(params: NetworkParams, batch: np.ndarray,
+def forward(params: NetworkParams, batch: np.ndarray, every_layer: bool = True,
             out: ForwardTrace | None = None) -> ForwardTrace:
-    """Layer outputs for batch, computed in its float type (float64 for an
-    integer batch); the weights and biases are cast to that type per call.
-    Each activation overwrites the layer's pre-activation array: a fresh
-    one, or with out (a trace whose arrays have this batch's row count and
-    type, such as the trace of an earlier batch) that layer's array of out.
-    The batch itself is never written."""
+    """The trace of batch, with the float64 sum of its squared
+    reconstruction errors, computed in the batch's float type (float64 for
+    an integer batch); the batch itself is never written.
+
+    The layers run one row block at a time (``linalg.row_blocks``), the
+    weights and biases cast per block, and each block's code, and with
+    every_layer every layer's output, goes straight into an n-row array:
+    the trace backward takes.  Without every_layer the other layers are
+    held for one block only and the trace has a 0-row array in their
+    place, which backward refuses.  out, an earlier call's trace for a
+    batch of this shape and type and the same every_layer, is written
+    over.  The error adds one float64 partial sum per block, in row order.
+    No block is short, so the trace has the bits of one whole-batch pass:
+    a product over a few rows may round otherwise than a long one.
+    """
     if batch.ndim != 2 or batch.shape[1] != params.dims[0]:
         raise ShapeMismatchError(
             f"forward: batch of shape {batch.shape} does not match input "
             f"width {params.dims[0]}"
         )
-    dtype = np.result_type(batch.dtype, np.float32)
-    acts = [batch]
-    for m, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
-        y = np.matmul(acts[-1], w.astype(dtype, copy=False).T,
-                      out=None if out is None else out.activations[m])
-        y += b.astype(dtype, copy=False)
-        acts.append(apply(params.layer_activation(m), y))
-    return ForwardTrace(acts)
-
-
-def encode(params: NetworkParams, batch: np.ndarray, every_layer: bool,
-           out: ForwardTrace | None = None) -> tuple[ForwardTrace, float]:
-    """The trace of batch, with the bits of one whole-batch forward, and its
-    summed squared reconstruction error, in float64.
-
-    forward runs once per row block (``linalg.row_blocks``) and writes each
-    block's code, and with every_layer every layer's output, straight into
-    an n-row array: the trace backward takes.  Without every_layer the
-    other layers are held for one block only and the trace has a 0-row
-    array in their place, which backward refuses.  out, an earlier call's
-    trace for a batch of this shape and type and the same every_layer, is
-    written over.  The error adds one float64 partial sum per block, in row
-    order, each block's difference formed in one block-sized buffer.  No
-    block is short: a product over a few rows may round otherwise than the
-    whole batch's.
-    """
     n, last, half = batch.shape[0], params.num_layers, params.num_layers // 2
     dtype = np.result_type(batch.dtype, np.float32)
     keep = [every_layer or m == half for m in range(last + 1)]
     if out is None:
-        out = ForwardTrace([batch] + [np.empty((n if keep[m] else 0, params.dims[m]), dtype)
-                                      for m in range(1, last + 1)])
-    layers = out.activations
+        layers = [batch] + [np.empty((n if keep[m] else 0, params.dims[m]), dtype)
+                            for m in range(1, last + 1)]
+    else:
+        layers = [batch, *out.activations[1:]]
     # one block of each layer not kept, and of x - reconstruction: the
     # reconstruction's own block when that is not kept
     scratch = {m: np.empty((min(n, BLOCK_ROWS), params.dims[m]), dtype)
                for m in range(1, last + 1) if not keep[m] or m == last}
     error = 0.0
     for rows in row_blocks(n):
-        x, size = batch[rows], rows.stop - rows.start
-        block = [x] + [layers[m][rows] if keep[m] else scratch[m][:size]
-                       for m in range(1, last + 1)]
-        # called by its module name, so a wrapper of forward sees every block
-        forward(params, x, out=ForwardTrace(block))
-        error += frobenius_sq(np.subtract(x, block[-1], out=scratch[last][:size]))
-    return ForwardTrace([batch, *layers[1:]]), error
+        z = x = batch[rows]
+        for m, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
+            y = np.matmul(z, w.astype(dtype, copy=False).T,
+                          out=layers[m][rows] if keep[m] else scratch[m][:len(x)])
+            y += b.astype(dtype, copy=False)
+            z = apply(params.layer_activation(m), y)
+        error += frobenius_sq(np.subtract(x, z, out=scratch[last][:len(x)]))
+    return ForwardTrace(layers, error)
 
 
 def reconstruction_deltas(params: NetworkParams, trace: ForwardTrace) -> np.ndarray:

@@ -24,7 +24,7 @@ once for the projection P = (S^T S)^-1 S^T and labels the codes by the
 product Z P^T, block by block: each block of codes is widened to
 float64, since a float32-by-float64 matrix product skips BLAS, and only
 its labels are kept.  The intra-class error adds each block's float64
-partial sum, as ``autoencoder.encode`` does for the reconstruction.
+partial sum, as ``autoencoder.forward`` does for the reconstruction.
 """
 
 from __future__ import annotations

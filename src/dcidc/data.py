@@ -208,22 +208,27 @@ def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
     """Per-column rescaling.
 
     minmax maps each column to [0, 1]; zscore to zero mean and unit
-    variance.  Constant columns map to all zeros under either mode.  The
-    result is one fresh array: the offset is subtracted into it and the
-    span divided out in place, so no other array of the data's size is
-    held beside it.
+    variance.  Constant columns map to all zeros under either mode, and
+    columns whose offset or span overflows float64 raise ValueError naming
+    them, counted from 1.  The result is one fresh array: the offset is
+    subtracted into it and the span divided out in place, so no other
+    array of the data's size is held beside it.
     """
     x = dataset.features
-    if mode == "minmax_per_band":
-        offset = x.min(axis=0)
-        span = x.max(axis=0) - offset
-    elif mode == "zscore_per_band":
-        offset = x.mean(axis=0)
-        span = x.std(axis=0)
-    else:
-        raise ValueError(
-            f"unknown mode {mode!r}, expected 'minmax_per_band' or 'zscore_per_band'"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        if mode == "minmax_per_band":
+            offset = x.min(axis=0)
+            span = x.max(axis=0) - offset
+        elif mode == "zscore_per_band":
+            offset = x.mean(axis=0)
+            span = x.std(axis=0)
+        else:
+            raise ValueError(
+                f"unknown mode {mode!r}, expected 'minmax_per_band' or 'zscore_per_band'"
+            )
+    bad = np.flatnonzero(~(np.isfinite(offset) & np.isfinite(span))) + 1
+    if bad.size:
+        raise ValueError(f"{mode}: the statistics of columns {bad.tolist()} overflow float64")
     safe = np.where(span == 0.0, 1.0, span)
     scaled = np.subtract(x, offset)
     scaled /= safe

@@ -26,9 +26,9 @@ def total_loss(
     lambda1: float,
     lambda2: float,
 ) -> float:
-    trace, error = net.encode(params, batch, every_layer=False)
+    trace = net.forward(params, batch, every_layer=False)
     state = ClusterState(centers, assignments)
-    return loss_terms(params, error, trace.code, state, lambda1, lambda2)[0]
+    return loss_terms(params, trace.squared_error, trace.code, state, lambda1, lambda2)[0]
 
 
 def numeric_gradients(

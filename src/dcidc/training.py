@@ -5,15 +5,15 @@ current assignments (per-cluster code means), evaluate the loss terms,
 recompute the assignments from the centers (least-squares + binarize, which
 yields one cluster label per sample), then take one gradient-descent step
 on every weight and bias, or one per mini-batch of the shuffled samples.
-Assignments and centers are constants inside the gradient steps.  Both
-batch modes take the forward of all samples in row blocks
-(``autoencoder.encode``), with the float64 sum of squared reconstruction
-errors.  A full batch keeps every layer's output for its backward pass,
-which writes its signals over them; a mini-batch epoch keeps only the
-codes, as each mini-batch runs its own forward.  Both cluster updates read the float32 codes as they are and
-widen them to float64 one member set or row block at a time, so an epoch
-keeps no float64 copy of the codes.  Every row block is cut by
-``linalg.row_blocks``.
+Assignments and centers are constants inside the gradient steps.  Every
+forward pass is ``autoencoder.forward``, which runs in row blocks and sums
+the squared reconstruction errors in float64.  The epoch's pass over all
+samples keeps every layer's output for a full batch, whose one step's
+backward pass writes its signals over them; a mini-batch epoch keeps only
+the codes, and each mini-batch runs its own forward.  Both cluster updates
+read the float32 codes as they are and widen them to float64 one member
+set or row block at a time, so an epoch keeps no float64 copy of the
+codes.  Every row block is cut by ``linalg.row_blocks``.
 
 The loss decomposes as j_total = j1 + j2 + j3 with
 
@@ -22,8 +22,8 @@ The loss decomposes as j_total = j1 + j2 + j3 with
     j3 = lambda2/2 * (squared norms of all weights and biases)
 
 The sums of j1 and j2 add one float64 partial sum per row block, and
-both batch modes sum j1 in ``encode``, so they give it the same bits for
-the same parameters.
+both batch modes take j1 from the epoch's ``forward``, so they give it the
+same bits for the same parameters.
 
 Gradients are summed (not averaged) over the batch, so the learning rate
 should be chosen relative to the sample count; the default 1e-3 suits the
@@ -118,6 +118,16 @@ def loss_terms(
     return j1 + j2 + j3, j1, j2, j3
 
 
+def as_float32(data: np.ndarray, source: str = "data") -> np.ndarray:
+    """data in float32, uncopied if it is already; ValueError naming source
+    if a value is beyond float32's range."""
+    with np.errstate(over="raise"):
+        try:
+            return np.asarray(data, dtype=np.float32)
+        except FloatingPointError:
+            raise ValueError(f"{source}: a feature value is beyond float32's range") from None
+
+
 def train(
     data: np.ndarray,
     config: TrainConfig,
@@ -136,10 +146,10 @@ def train(
     epochs.  Supplied labels are only ever used for per-epoch accuracy/NMI
     reporting, never for the optimization itself.
 
-    The autoencoder passes run in float32 on a float32 copy of data; the
+    The autoencoder passes run in float32 on data as_float32; the
     parameters, centers, assignment solve and loss sums stay float64.
     """
-    data = np.asarray(data, dtype=np.float32)
+    data = as_float32(data)
     if labels is not None:  # once, not per epoch: np.unique sorts
         labels = metrics.dense_labels(labels)
     n = data.shape[0]
@@ -159,12 +169,12 @@ def train(
             # every layer for the full batch's backward pass, else only the
             # codes; written over the last trace, so no n-row array is freed
             # to the heap top, trimmed and faulted in again each epoch
-            trace, error = net.encode(params, data, full_batch, out=trace)
+            trace = net.forward(params, data, full_batch, out=trace)
             codes = trace.code
             centers, reseeded = clusters.update_centers(codes, assigned, config.k, centers)
             state = clusters.ClusterState(centers, assigned)
             j_total, j1, j2, j3 = loss_terms(
-                params, error, codes, state, config.lambda1, config.lambda2
+                params, trace.squared_error, codes, state, config.lambda1, config.lambda2
             )
             if not math.isfinite(j_total):
                 raise DivergenceError(epoch, j_total)
@@ -186,21 +196,15 @@ def train(
                     break
             prev_total = j_total
             assigned = clusters.update_indicator(codes, centers)
-            if full_batch:
+            # one step on the epoch's trace, or one per shuffled mini-batch
+            order = None if full_batch else shuffle_rng.permutation(n)
+            for start in range(0, n, n if full_batch else config.batch_size):
+                idx = slice(None) if full_batch else order[start : start + config.batch_size]
+                sub = trace if full_batch else net.forward(params, data[idx])
                 grads = net.backward(
-                    params, trace, assigned, centers, config.lambda1, config.lambda2
+                    params, sub, assigned[idx], centers, config.lambda1, config.lambda2
                 )
                 net.apply_update(params, grads, config.lr)
-            else:
-                order = shuffle_rng.permutation(n)
-                for start in range(0, n, config.batch_size):
-                    idx = order[start : start + config.batch_size]
-                    sub = net.forward(params, data[idx])
-                    grads = net.backward(
-                        params, sub, assigned[idx], centers,
-                        config.lambda1, config.lambda2,
-                    )
-                    net.apply_update(params, grads, config.lr)
-                # the next epoch's forward, cluster step and loss are its peak
-                del order, idx, sub, grads
+            # the next epoch's forward, cluster step and loss are its peak
+            del order, idx, sub, grads
     return params, state, reports

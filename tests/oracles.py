@@ -8,8 +8,8 @@ from collections import Counter
 
 import numpy as np
 
-from dcidc.activations import derivative
-from dcidc.autoencoder import Gradients, forward
+from dcidc.activations import apply, derivative
+from dcidc.autoencoder import ForwardTrace, Gradients
 from dcidc.linalg import column_sums, frobenius_sq, row_blocks
 
 
@@ -22,9 +22,22 @@ def blocked_squared_error(x, y):
     return error
 
 
+def whole_batch_forward(params, batch):
+    """Every layer's output as the forward pass defines it: one np.matmul
+    per layer over all rows, in the batch's float type, so a test that
+    swaps np.matmul swaps it here too; the trace's error is j1's blocked
+    sum."""
+    dtype = np.result_type(batch.dtype, np.float32)
+    acts = [batch]
+    for m, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
+        y = np.matmul(acts[-1], w.astype(dtype).T) + b.astype(dtype)
+        acts.append(apply(params.layer_activation(m), y))
+    return ForwardTrace(acts, blocked_squared_error(batch, acts[-1]))
+
+
 def reference_loss(params, batch, assignments, centers, lam1, lam2):
-    """Joint loss recomputed directly from the forward trace."""
-    trace = forward(params, batch)
+    """Joint loss recomputed directly from the whole-batch trace."""
+    trace = whole_batch_forward(params, batch)
     j1 = 0.5 * float(((batch - trace.reconstruction) ** 2).sum())
     j2 = 0.0
     if lam1 != 0.0:

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dcidc import autoencoder, gradcheck
-from dcidc.activations import ActivationKind, derivative
+from dcidc.activations import ActivationKind, apply, derivative
 from dcidc.autoencoder import (
     ForwardTrace,
     Gradients,
     apply_update,
     backward,
     constraint_deltas,
-    encode,
     forward,
     init,
     mirror_dims,
@@ -30,6 +29,7 @@ from oracles import (
     reference_loss,
     whole_array_backward,
     whole_array_signals,
+    whole_batch_forward,
 )
 
 TANH = ActivationKind.TANH
@@ -467,68 +467,70 @@ def test_backward_holds_a_few_blocks_besides_the_gradients(dims):
     assert peak <= blocks + 2 * gradients + slack
 
 
-ENCODE_NETS = {"200-128-64-32": [200, 128, 64, 32], "16-16": [16, 16],
-               "10-8-6": [10, 8, 6]}
+FORWARD_NETS = {"200-128-64-32": [200, 128, 64, 32], "16-16": [16, 16],
+                "10-8-6": [10, 8, 6]}
 # (j, t): n = BLOCK_ROWS * j + t rows; j = 0 is a batch below one block
-ENCODE_ROWS = [(0, BLOCK_ROWS // 3), (1, 1), (3, 2), (1, 9), (3, 37), (1, 63),
-               (2, BLOCK_ROWS - 1)]
+FORWARD_ROWS = [(0, BLOCK_ROWS // 3), (1, 1), (3, 2), (1, 9), (3, 37), (1, 63),
+                (2, BLOCK_ROWS - 1)]
 
 
-@pytest.mark.parametrize("encoder", sorted(ENCODE_NETS))
-@pytest.mark.parametrize("j, t", ENCODE_ROWS)
-def test_encode_decode_equals_forward_byte_for_byte(encoder, j, t, monkeypatch):
+@pytest.mark.parametrize("encoder", sorted(FORWARD_NETS))
+@pytest.mark.parametrize("j, t", FORWARD_ROWS)
+def test_forward_equals_whole_batch_oracle_byte_for_byte(encoder, j, t, monkeypatch):
     """Row counts just past block multiples, where a tail block would be
-    short; encode's trace has the whole-batch forward's bits, every layer's
+    short; forward's trace has the whole-batch oracle's bits, every layer's
     or only the codes', and its error is j1's blocked sum over the whole
     batch's reconstruction."""
     n = BLOCK_ROWS * j + t
-    dims = mirror_dims(ENCODE_NETS[encoder])
+    dims = mirror_dims(FORWARD_NETS[encoder])
     params = init(dims, TANH, ActivationKind.SIGMOID, seed=t)
     batch = np.random.default_rng(t).uniform(0, 1, size=(n, dims[0])).astype(np.float32)
-    whole = forward(params, batch)
-    want_error = blocked_squared_error(batch, whole.reconstruction)
+    whole = whole_batch_forward(params, batch)
     calls = []
 
-    def spy(params, batch, out=None):
-        calls.append(batch.shape[0])
-        return forward(params, batch, out=out)
+    def spy(kind, y):
+        calls.append(y.shape[0])
+        return apply(kind, y)
 
-    monkeypatch.setattr(autoencoder, "forward", spy)
+    monkeypatch.setattr(autoencoder, "apply", spy)
     for every_layer in (True, False):
         calls.clear()
-        trace, error = encode(params, batch, every_layer)
+        trace = forward(params, batch, every_layer)
         rows = [n if every_layer or m in (0, len(dims) // 2) else 0
                 for m in range(len(dims))]
         assert [z.shape[0] for z in trace.activations] == rows
-        assert trace.activations[0] is batch and error == want_error
+        assert trace.activations[0] is batch and trace.squared_error == whole.squared_error
         for got, want in zip(trace.activations, whole.activations):
             assert got.dtype == want.dtype and got.shape[1] == want.shape[1]
             assert got.shape[0] == 0 or got.tobytes() == want.tobytes()
-        assert calls == [r.stop - r.start for r in row_blocks(n)]
-        assert len(calls) == -(-n // BLOCK_ROWS) and min(calls) >= min(n, BLOCK_ROWS // 2)
-        again, again_error = encode(params, batch, every_layer, out=trace)
-        assert again_error == error
+        # each block runs the layers in turn, one apply per layer
+        blocks = calls[::len(dims) - 1]
+        assert calls == [size for size in blocks for _ in dims[1:]]
+        assert blocks == [r.stop - r.start for r in row_blocks(n)]
+        assert len(blocks) == -(-n // BLOCK_ROWS) and min(blocks) >= min(n, BLOCK_ROWS // 2)
+        again = forward(params, batch, every_layer, out=trace)
+        assert again.squared_error == trace.squared_error
         assert all(a is b for a, b in zip(again.activations, trace.activations))
         assert again.code.tobytes() == whole.code.tobytes()
 
 
-def test_encode_codes_only_trace_cannot_reach_backward():
-    """backward refuses a trace short of a layer, and encode's trace of the
-    codes alone even where the code is the only hidden layer; encode's
-    trace of every layer gives forward's gradients."""
+def test_forward_codes_only_trace_cannot_reach_backward():
+    """backward refuses a trace short of a layer, and forward's trace of the
+    codes alone even where the code is the only hidden layer; forward's
+    trace of every layer gives the whole-batch oracle's gradients."""
     params, batch, assignments, centers = random_instance(3, mirror_dims([6, 4, 3]), 10, 2)
     whole = forward(params, batch)
-    thin = ForwardTrace([batch, whole.code, whole.reconstruction])
+    thin = ForwardTrace([batch, whole.code, whole.reconstruction], whole.squared_error)
     with pytest.raises(ShapeMismatchError, match="every layer's output"):
         backward(params, thin, assignments, centers, 0.3, 3e-4)
     params, batch, assignments, centers = random_instance(3, mirror_dims([6, 4]), 10, 2)
-    codes_only, _ = encode(params, batch, every_layer=False)
+    codes_only = forward(params, batch, every_layer=False)
     assert [z.shape[0] for z in codes_only.activations] == [10, 10, 0]
     with pytest.raises(ShapeMismatchError, match="every layer's output for all 10 rows"):
         backward(params, codes_only, assignments, centers, 0.3, 3e-4)
-    got = backward(params, encode(params, batch, every_layer=True)[0],
-                   assignments, centers, 0.3, 3e-4)
-    want = backward(params, forward(params, batch), assignments, centers, 0.3, 3e-4)
+    got = backward(params, forward(params, batch), assignments, centers, 0.3, 3e-4)
+    want = backward(params, whole_batch_forward(params, batch), assignments, centers,
+                    0.3, 3e-4)
     for a, b in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
         assert a.tobytes() == b.tobytes()
 

@@ -2,10 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dcidc import __version__, artifacts, autoencoder, cli, clusters, data
 from dcidc.artifacts import epoch_csv_line, load_checkpoint
@@ -329,6 +333,52 @@ class TestTrain:
         for artifact in ("epoch_log.csv", "labels_full.csv", "checkpoint.bin"):
             assert (tmp_path / "ref" / artifact).read_bytes() == \
                 (tmp_path / "run" / artifact).read_bytes(), artifact
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_feature_beyond_float32_exits_2_naming_the_file(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("0.5,1e39\n0.25,0.5\n0.75,0.25\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--k", "1", "--dims", "2,1",
+                     "--normalize", "none", "--out-dir", str(out)])
+        assert code == 2
+        assert f"{data}: a feature value is beyond float32" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode, big", [("minmax", "1e308"), ("zscore", "1e200")])
+    def test_overflowed_normalize_statistics_exit_2(self, tmp_path, capsys, mode, big):
+        """-1e308..1e308 has no finite span and +/-1e200 no finite std; the
+        run exits 2, naming the column, before any directory exists."""
+        data = tmp_path / "big.csv"
+        data.write_text(f"0.5,-{big}\n0.25,{big}\n0.75,0\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--k", "1", "--dims", "2,1",
+                     "--normalize", mode, "--out-dir", str(out)])
+        assert code == 2
+        assert "columns [2] overflow float64" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(2, 12), st.integers(1, 4)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.sampled_from(["minmax", "zscore"]))
+@settings(max_examples=40, deadline=None)
+def test_train_on_any_finite_csv_exits_0_or_2_cleanly(tmp_path_factory, matrix, mode):
+    """A CSV of 2-12 rows and 1-4 columns of finite float64, written with
+    repr, trains for one epoch (exit 0) or is refused as bad input (exit 2)
+    leaving neither the run directory nor its staging sibling; no warning
+    escapes either way."""
+    root = tmp_path_factory.mktemp("any")
+    data = root / "m.csv"
+    data.write_text("".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist()))
+    out = root / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--data", str(data), "--k", "1",
+                     "--dims", f"{matrix.shape[1]},1", "--epochs", "1",
+                     "--normalize", mode, "--out-dir", str(out)])
+    assert code == 0 or (code == 2 and sorted(p.name for p in root.iterdir()) == ["m.csv"])
 
 
 class TestReplay:

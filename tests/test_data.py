@@ -305,6 +305,18 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(Dataset(np.ones((2, 2))), "other")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode, big", [("minmax_per_band", 1e308),
+                                           ("zscore_per_band", 1e200),
+                                           ("zscore_per_band", 1.7e308)])
+    def test_overflowed_statistics_rejected_naming_the_column(self, mode, big):
+        """A span of -1e308..1e308 overflows, and so do the std of +/-1e200
+        and the mean of two 1.7e308; the column is named, counted from 1,
+        without an overflow warning."""
+        features = np.array([[0.0, 1.0, -big], [1.0, 2.0, big], [2.0, 3.0, big]])
+        with pytest.raises(ValueError, match=re.escape("columns [3] overflow float64")):
+            normalize(Dataset(features), mode)
+
     @pytest.mark.parametrize("mode", ["minmax_per_band", "zscore_per_band"])
     def test_holds_only_its_output_array(self, mode):
         """Besides the result, only per-band vectors and Python objects

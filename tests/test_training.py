@@ -6,12 +6,12 @@ import pytest
 
 from dcidc import autoencoder, clusters
 from dcidc.activations import ActivationKind
-from dcidc.autoencoder import ForwardTrace, encode, forward, init, mirror_dims
+from dcidc.autoencoder import ForwardTrace, forward, init, mirror_dims
 from dcidc.clusters import ClusterState, init_indicator
 from dcidc.data import normalize, synth_blobs
 from dcidc.linalg import BLOCK_ROWS
 from dcidc.training import DivergenceError, TrainConfig, loss_terms, train
-from oracles import blocked_squared_error, whole_array_backward
+from oracles import whole_array_backward, whole_batch_forward
 
 TANH = ActivationKind.TANH
 
@@ -58,9 +58,8 @@ def scalar_loss_terms(params, trace, labels, centers, lam1, lam2):
 
 
 def trace_loss_terms(params, trace, state, lam1, lam2):
-    """loss_terms as an epoch calls it, with encode's error of the batch."""
-    _, error = encode(params, trace.activations[0], every_layer=False)
-    return loss_terms(params, error, trace.code, state, lam1, lam2)
+    """loss_terms as an epoch calls it, with forward's error of the batch."""
+    return loss_terms(params, trace.squared_error, trace.code, state, lam1, lam2)
 
 
 def small_blobs(seed, sep=6.0):
@@ -185,6 +184,15 @@ class TestTrain:
                   enc_activation=ActivationKind.SOFTPLUS)
         assert info.value.epoch >= 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_feature_beyond_float32_raises_value_error(self):
+        """train runs in float32, so a value float32 cannot hold is bad
+        input, refused before any epoch, without an overflow warning."""
+        data = small_blobs(5).features.copy()
+        data[4, 2] = 1e39
+        with pytest.raises(ValueError, match="data: a feature value is beyond float32"):
+            train(data, TrainConfig(k=3, max_epochs=3, seed=5), mirror_dims([5, 4, 3]))
+
     def test_minibatch_path_is_deterministic(self):
         ds = small_blobs(5)
         cfg = TrainConfig(k=3, max_epochs=10, seed=5, batch_size=32)
@@ -197,9 +205,9 @@ class TestTrain:
     def test_autoencoder_sees_float32_batches(self, monkeypatch, batch_size):
         seen = []
 
-        def spy(params, batch, out=None):
+        def spy(params, batch, every_layer=True, out=None):
             seen.append(batch.dtype)
-            return forward(params, batch, out=out)
+            return forward(params, batch, every_layer, out)
 
         monkeypatch.setattr(autoencoder, "forward", spy)
         ds = small_blobs(5)
@@ -215,18 +223,17 @@ class TestTrain:
         # the epoch's n-row arrays are written again, not freed and refaulted
         traces, given, backward_traces = [], [], []
 
-        def spy(params, batch, every_layer, out=None):
+        def spy(params, batch, every_layer=True, out=None):
             given.append(out)
-            trace, error = encode(params, batch, every_layer, out=out)
-            traces.append(trace)
-            return trace, error
+            traces.append(forward(params, batch, every_layer, out))
+            return traces[-1]
 
         def backward_spy(params, trace, *args):
             backward_traces.append(trace)
             return backward(params, trace, *args)
 
         backward = autoencoder.backward
-        monkeypatch.setattr(autoencoder, "encode", spy)
+        monkeypatch.setattr(autoencoder, "forward", spy)
         monkeypatch.setattr(autoencoder, "backward", backward_spy)
         ds, cfg = small_blobs(5), TrainConfig(k=3, max_epochs=3, seed=5)
         train(ds.features, cfg, mirror_dims([5, 4, 3]))
@@ -266,7 +273,8 @@ class TestTrain:
                                                                batch_size, matmul):
         """Rows enough for three forward blocks, so the codes of an epoch,
         and for a full batch the trace of its backward pass, come from
-        several forward calls: train runs as with one whole-batch forward."""
+        several row blocks: train runs as with one whole-batch forward.  A
+        mini-batch of at most 256 rows is one block."""
         n = 2 * BLOCK_ROWS + 37
         ds = normalize(synth_blobs(n // 3 + 1, 3, 10, 6.0, 1.0, seed=8))
         cfg = TrainConfig(k=3, max_epochs=3, seed=8, batch_size=batch_size)
@@ -275,14 +283,16 @@ class TestTrain:
 
         calls = []
 
-        def whole_batch(params, batch, every_layer, out=None):
-            calls.append(every_layer)
-            trace = forward(params, batch)
-            return trace, blocked_squared_error(batch, trace.reconstruction)
+        def whole_batch(params, batch, every_layer=True, out=None):
+            calls.append((batch.shape[0], every_layer))
+            return whole_batch_forward(params, batch)
 
-        monkeypatch.setattr(autoencoder, "encode", whole_batch)
+        monkeypatch.setattr(autoencoder, "forward", whole_batch)
         whole = train(ds.features, cfg, dims, labels=ds.labels)
-        assert calls == [batch_size is None] * 4
+        epoch = [(ds.n, batch_size is None)]
+        if batch_size is not None:
+            epoch += [(min(batch_size, ds.n - s), True) for s in range(0, ds.n, batch_size)]
+        assert calls == epoch * 3 + epoch[:1]
 
         def run_bytes(params, state, reports):
             arrays = params.weights + params.biases + [state.centers, state.indicator]
@@ -305,7 +315,8 @@ class TestTrain:
 
         def out_of_place(params, trace, *args):
             rows.append(trace.activations[0].shape[0])
-            copy = ForwardTrace([a.copy() for a in trace.activations])
+            copy = ForwardTrace([a.copy() for a in trace.activations],
+                                trace.squared_error)
             return whole_array_backward(params, copy, *args)
 
         monkeypatch.setattr(autoencoder, "backward", out_of_place)
@@ -362,9 +373,9 @@ class TestTrain:
         assert peak <= trace + blocks + slack
 
     def test_full_batch_and_minibatch_losses_equal_bit_for_bit(self):
-        """The same parameters at epoch 0: the full batch keeps every layer
-        of encode's blocks and the mini-batch epoch only the codes, and both
-        sum j1 to the same bits."""
+        """The same parameters at epoch 0: the full batch's forward keeps
+        every layer and the mini-batch epoch's only the codes, and both sum
+        j1 to the same bits."""
         n = 2 * BLOCK_ROWS + 37
         ds = normalize(synth_blobs(n // 3 + 1, 3, 10, 6.0, 1.0, seed=10))
         dims = mirror_dims([10, 8, 6])
