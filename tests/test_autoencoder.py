@@ -23,7 +23,6 @@ from dcidc.autoencoder import (
 from dcidc.clusters import init_indicator
 from dcidc.linalg import BLOCK_ROWS, ShapeMismatchError, column_sums, row_blocks
 from oracles import (
-    blocked_squared_error,
     guarded_rel,
     numeric_gradients,
     reference_loss,
