@@ -52,11 +52,9 @@ def apply(kind: ActivationKind, y: np.ndarray) -> np.ndarray:
         den = np.abs(y)
         den += 1.0
         return np.divide(y, den, out=y)  # y / (1 + |y|)
-    if kind is ActivationKind.SOFTPLUS:  # log1p(exp(-|y|)) + max(y, 0)
-        t = np.abs(y)
-        np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
-        return np.add(t, np.maximum(y, 0.0), out=y)
-    raise ValueError(f"unhandled activation kind {kind!r}")
+    t = np.abs(y)  # softplus: log1p(exp(-|y|)) + max(y, 0)
+    np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
+    return np.add(t, np.maximum(y, 0.0), out=y)
 
 
 def derivative(
@@ -75,8 +73,6 @@ def derivative(
         d = np.abs(z, out=out)
         np.subtract(1.0, d, out=d)  # 1 - |z| = 1 / (1 + |y|)
         return np.multiply(d, d, out=d)  # (1 - |z|) * (1 - |z|)
-    if kind is ActivationKind.SOFTPLUS:
-        d = np.negative(z, out=out)
-        np.expm1(d, out=d)
-        return np.negative(d, out=d)  # -expm1(-z) = sigmoid(y), z = softplus(y)
-    raise ValueError(f"unhandled activation kind {kind!r}")
+    d = np.negative(z, out=out)  # softplus
+    np.expm1(d, out=d)
+    return np.negative(d, out=d)  # -expm1(-z) = sigmoid(y), z = softplus(y)

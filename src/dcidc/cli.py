@@ -29,7 +29,7 @@ from . import artifacts as art
 from . import autoencoder as net
 from . import clusters, data, gradcheck, metrics
 from .activations import DEFAULT_ACTIVATION, KIND_NAMES, parse_kind
-from .training import DivergenceError, EpochReport, TrainConfig, as_float32, train
+from .training import DivergenceError, EpochReport, TrainConfig, train
 
 
 def _flag_type(convert, expects: str):
@@ -98,11 +98,13 @@ def _prepare(spec: art.RunSpec, check=None):
     ds = data.load(spec.data, spec.labels)
     if spec.mask_unlabeled:
         ds = data.mask_unlabeled(ds)
-    if spec.normalize != "none":
+    if spec.config.k > ds.n:
+        raise ValueError(f"--k {spec.config.k} is above the {ds.n} rows to train on")
+    if spec.normalize != "none":  # minmax lies in [0, 1], a z-score within sqrt(n - 1)
         ds = data.normalize(ds, art.NORMALIZE_MODES[spec.normalize])
-    # train's check, made before any directory exists; train still gets the
-    # float64 features, which perfbench/session.py's gradient check reads
-    as_float32(ds.features, spec.data)
+    else:  # train's float32 check, before any directory exists; train still
+        # gets the float64 features, on which the benchmark checks gradients
+        data.as_float32(ds.features, spec.data)
     dims = net.default_dims(ds.dim, spec.config.k) if spec.dims is None else spec.dims
     if spec.dims is None and dims[1] > ds.dim:  # the defaults widen when k > d
         raise ValueError(

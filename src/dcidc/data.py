@@ -8,7 +8,9 @@ dcmx magic bytes is read as dcmx, any other file as CSV, whatever its name:
   rows*cols little-endian IEEE-754 32-bit floats in row-major order.  Values
   are widened to 64-bit on load; saving narrows to 32-bit, so a load/save
   cycle of a dcmx file is byte-exact while arbitrary float64 data may lose
-  precision on first save.
+  precision on first save.  ``as_float32`` makes every narrowing to float32
+  (dcmx, the synthetic box, training's input) and refuses a finite value
+  beyond float32's range.
 * CSV: comma-separated decimal floats, one sample per line, no header.
 
 A companion label file (same stem, ``.labels.csv``, one integer in
@@ -32,7 +34,6 @@ from .seeding import substream
 _MAGIC = b"DCMX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sBII")
-_FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest value dcmx stores
 
 
 class DataFormatError(ValueError):
@@ -54,17 +55,23 @@ class Dataset:
         return self.features.shape[1]
 
 
+def as_float32(values, source: str = "data") -> np.ndarray:
+    """values in float32, uncopied if they already are; ValueError naming
+    source if a finite value is beyond float32's range (inf and NaN pass)."""
+    with np.errstate(over="raise"):
+        try:
+            return np.asarray(values, dtype=np.float32)
+        except FloatingPointError:
+            raise ValueError(f"{source}: a feature value is beyond float32's range") from None
+
+
 def dcmx_bytes(matrix: np.ndarray) -> bytes:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"dcmx stores 2-D matrices, got shape {matrix.shape}")
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        stored = np.ascontiguousarray(matrix, dtype="<f4")
-    if (np.isinf(stored) & np.isfinite(matrix)).any():
-        raise ValueError(f"dcmx stores 32-bit floats; a value of the {matrix.shape} "
-                         f"matrix is beyond +/-{_FLOAT32_MAX:.4g}")
+    stored = as_float32(matrix, f"dcmx stores 32-bit floats; the {matrix.shape} matrix")
     header = _HEADER.pack(_MAGIC, _VERSION, matrix.shape[0], matrix.shape[1])
-    return header + stored.tobytes()
+    return header + stored.astype("<f4", copy=False).tobytes()
 
 
 def read_dcmx(raw: bytes, offset: int, source: str) -> tuple[np.ndarray, int]:
@@ -208,13 +215,15 @@ def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
     """Per-column rescaling.
 
     minmax maps each column to [0, 1]; zscore to zero mean and unit
-    variance.  Constant columns map to all zeros under either mode, and
-    columns whose offset or span overflows float64 raise ValueError naming
-    them, counted from 1.  The result is one fresh array: the offset is
-    subtracted into it and the span divided out in place, so no other
-    array of the data's size is held beside it.
+    variance, taking a column whose sums or squares overflow float64 in
+    units of a power of two near its largest magnitude.  Constant columns
+    map to all zeros; minmax spans that overflow raise ValueError naming
+    their columns, counted from 1.  The result is one fresh array: the
+    offset is subtracted into it and the span divided out in place, so no
+    other array of the data's size is held beside it.
     """
     x = dataset.features
+    units = {}  # z-score column -> the unit its statistics are taken in
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if mode == "minmax_per_band":
             offset = x.min(axis=0)
@@ -222,6 +231,10 @@ def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
         elif mode == "zscore_per_band":
             offset = x.mean(axis=0)
             span = x.std(axis=0)
+            for j in np.flatnonzero(~(np.isfinite(offset) & np.isfinite(span))):
+                units[j] = 2.0 ** np.floor(np.log2(np.abs(x[:, j]).max()))
+                column = x[:, j] / units[j]  # one column at a time
+                offset[j], span[j] = column.mean(), column.std()
         else:
             raise ValueError(
                 f"unknown mode {mode!r}, expected 'minmax_per_band' or 'zscore_per_band'"
@@ -231,6 +244,9 @@ def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
         raise ValueError(f"{mode}: the statistics of columns {bad.tolist()} overflow float64")
     safe = np.where(span == 0.0, 1.0, span)
     scaled = np.subtract(x, offset)
+    for j, unit in units.items():  # written again in its unit
+        np.divide(x[:, j], unit, out=scaled[:, j])
+        scaled[:, j] -= offset[j]
     scaled /= safe
     scaled[:, span == 0.0] = 0.0
     return Dataset(scaled, labels=dataset.labels, mask=dataset.mask)
@@ -280,9 +296,8 @@ def synth_blobs(
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = substream(seed, "synth")
     side = separation * max(2.0, k ** (1.0 / dim))
-    if side > _FLOAT32_MAX:  # dcmx could not store the centers
-        raise ValueError(f"separation {separation:g} needs a box of side {side:.3g}, "
-                         f"beyond the 32-bit float range")
+    as_float32(np.array(side), f"dcmx stores 32-bit floats; separation {separation:g} "
+               f"needs a box of side {side:.3g}")
     centers = None
     for _ in range(100):
         candidate = rng.uniform(0.0, side, size=(k, dim))

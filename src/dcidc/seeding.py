@@ -17,9 +17,4 @@ _STREAM_IDS = {
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
-    try:
-        stream_id = _STREAM_IDS[name]
-    except KeyError:
-        known = ", ".join(sorted(_STREAM_IDS))
-        raise ValueError(f"unknown stream {name!r}; known streams: {known}")
-    return np.random.default_rng(np.random.SeedSequence((int(seed), stream_id)))
+    return np.random.default_rng(np.random.SeedSequence((int(seed), _STREAM_IDS[name])))

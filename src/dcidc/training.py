@@ -40,6 +40,7 @@ import numpy as np
 from . import autoencoder as net
 from . import clusters, metrics
 from .activations import DEFAULT_ACTIVATION, ActivationKind
+from .data import as_float32
 from .linalg import frobenius_sq
 from .seeding import substream
 
@@ -118,16 +119,6 @@ def loss_terms(
     return j1 + j2 + j3, j1, j2, j3
 
 
-def as_float32(data: np.ndarray, source: str = "data") -> np.ndarray:
-    """data in float32, uncopied if it is already; ValueError naming source
-    if a value is beyond float32's range."""
-    with np.errstate(over="raise"):
-        try:
-            return np.asarray(data, dtype=np.float32)
-        except FloatingPointError:
-            raise ValueError(f"{source}: a feature value is beyond float32's range") from None
-
-
 def train(
     data: np.ndarray,
     config: TrainConfig,
@@ -146,7 +137,7 @@ def train(
     epochs.  Supplied labels are only ever used for per-epoch accuracy/NMI
     reporting, never for the optimization itself.
 
-    The autoencoder passes run in float32 on data as_float32; the
+    The autoencoder passes run in float32 on ``data.as_float32(data)``; the
     parameters, centers, assignment solve and loss sums stay float64.
     """
     data = as_float32(data)

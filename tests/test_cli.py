@@ -346,10 +346,10 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("mode, big", [("minmax", "1e308"), ("zscore", "1e200")])
+    @pytest.mark.parametrize("mode, big", [("minmax", "1e308")])
     def test_overflowed_normalize_statistics_exit_2(self, tmp_path, capsys, mode, big):
-        """-1e308..1e308 has no finite span and +/-1e200 no finite std; the
-        run exits 2, naming the column, before any directory exists."""
+        """-1e308..1e308 has no finite span; the run exits 2, naming the
+        column, before any directory exists."""
         data = tmp_path / "big.csv"
         data.write_text(f"0.5,-{big}\n0.25,{big}\n0.75,0\n")
         out = tmp_path / "run"
@@ -358,6 +358,45 @@ class TestTrain:
         assert code == 2
         assert "columns [2] overflow float64" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zscore_of_overflowing_squares_trains(self, tmp_path, monkeypatch):
+        """+/-1e200 squares past float64, yet its z-score is finite: train
+        gets z-scores within sqrt(n - 1) and the run ends with exit 0."""
+        seen = []
+
+        def spy(features, *args, **kwargs):
+            seen.append(features)
+            return train(features, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", spy)
+        data = tmp_path / "big.csv"
+        data.write_text("0.5,-1e200\n0.25,1e200\n0.75,0\n")
+        assert main(["train", "--data", str(data), "--k", "1", "--dims", "2,1",
+                     "--epochs", "1", "--normalize", "zscore",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        assert np.all(np.abs(seen[0]) <= np.sqrt(2) * (1 + 1e-12))
+        assert np.allclose(seen[0][:, 1], [-np.sqrt(1.5), np.sqrt(1.5), 0.0], atol=1e-12)
+
+    def test_k_above_rows_exits_2_before_any_directory(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """The 12-pixel image keeps 9 rows under --mask-unlabeled, so --k 10
+        is refused naming both numbers, before training or any directory."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        out = tmp_path / "run"
+        assert main(image_args(image_file(tmp_path), out, "--k", "10")) == 2
+        assert "--k 10 is above the 9 rows to train on" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.csv", "img.labels.csv"]
+
+    def test_zero_layer_width_exits_2(self, blob_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(blob_file), "--k", "1", "--dims", "2,0",
+                     "--out-dir", str(out)]) == 2
+        assert "layer widths must be positive, got [2, 0, 2]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 12), st.integers(1, 4)),
@@ -379,6 +418,35 @@ def test_train_on_any_finite_csv_exits_0_or_2_cleanly(tmp_path_factory, matrix, 
                      "--dims", f"{matrix.shape[1]},1", "--epochs", "1",
                      "--normalize", mode, "--out-dir", str(out)])
     assert code == 0 or (code == 2 and sorted(p.name for p in root.iterdir()) == ["m.csv"])
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 3)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.data(), st.integers(1, 6), st.booleans(),
+       st.sampled_from(["none", "minmax", "zscore"]))
+@settings(max_examples=50, deadline=None)
+def test_sweep_on_any_labelled_csv_exits_cleanly(tmp_path_factory, matrix, draw, k,
+                                                 masked, mode):
+    """A two-cell sweep of one epoch on a labelled CSV of 1-8 rows and 1-3
+    columns of finite float64 exits 0, 1 or 2, whatever --k and the labels
+    (0-3, 0 being background under --mask-unlabeled); exit 2 leaves no
+    --out-dir, and no warning escapes."""
+    root = tmp_path_factory.mktemp("sweep")
+    data = root / "m.csv"
+    data.write_text("".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist()))
+    labels = draw.draw(st.lists(st.integers(0, 3), min_size=len(matrix),
+                                max_size=len(matrix)))
+    save_label_csv(root / "m.labels.csv", labels)
+    out = root / "sweep"
+    args = ["sweep", "--data", str(data), "--k", str(k), "--dims", f"{matrix.shape[1]},1",
+            "--grid", "0,0.3", "--epochs", "1", "--normalize", mode,
+            "--out-dir", str(out)] + (["--mask-unlabeled"] if masked else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert sorted(p.name for p in root.iterdir()) == ["m.csv", "m.labels.csv"]
 
 
 class TestReplay:
@@ -721,6 +789,7 @@ SWEEP_BAD_INPUT = {  # problem -> what stderr must say
     "repeated grid value": "names a cell directory twice",
     "equal grid values": "names a cell directory twice",
     "map shape off the image": "the image has 75",
+    "k above rows": "--k 61 is above the 60 rows to train on",
     "flag train rejects": "unrecognized arguments: --momentum 0.9",
 }
 
@@ -898,6 +967,7 @@ class TestSweep:
                      "repeated grid value": ["--grid", "0.3,0.3"],
                      "equal grid values": ["--grid", "0.3,0.30"],
                      "map shape off the image": ["--map-shape", "5x5"],
+                     "k above rows": ["--k", "61", "--dims", "8,4,3"],
                      "flag train rejects": ["--momentum", "0.9"]}[problem]
 
         def no_training(*args, **kwargs):
