@@ -55,7 +55,7 @@ class Dataset:
         return self.features.shape[1]
 
 
-def as_float32(values, source: str = "data") -> np.ndarray:
+def as_float32(values, source: str) -> np.ndarray:
     """values in float32, uncopied if they already are; ValueError naming
     source if a finite value is beyond float32's range (inf and NaN pass)."""
     with np.errstate(over="raise"):

@@ -137,10 +137,10 @@ def train(
     epochs.  Supplied labels are only ever used for per-epoch accuracy/NMI
     reporting, never for the optimization itself.
 
-    The autoencoder passes run in float32 on ``data.as_float32(data)``; the
-    parameters, centers, assignment solve and loss sums stay float64.
+    The autoencoder passes run in float32, on data ``data.as_float32``
+    narrows; the parameters, centers, assignment solve and loss sums stay float64.
     """
-    data = as_float32(data)
+    data = as_float32(data, "data")
     if labels is not None:  # once, not per epoch: np.unique sorts
         labels = metrics.dense_labels(labels)
     n = data.shape[0]
