@@ -1,3 +1,3 @@
 """Joint autoencoder + intra-class distance constrained clustering."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

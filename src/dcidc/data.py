@@ -5,13 +5,13 @@ dcmx magic bytes is read as dcmx, any other file as CSV, whatever its name:
 
 * ``dcmx`` binary matrices: magic bytes ``DCMX``, version byte 0x01, then
   little-endian u32 row and column counts (both at least 1), then
-  rows*cols little-endian IEEE-754 32-bit floats in row-major order.  Values
-  are widened to 64-bit on load; saving narrows to 32-bit, so a load/save
-  cycle of a dcmx file is byte-exact while arbitrary float64 data may lose
-  precision on first save.  ``as_float32`` makes every narrowing to float32
-  (dcmx, the synthetic box, training's input) and refuses a finite value
-  beyond float32's range.
-* CSV: comma-separated decimal floats, one sample per line, no header.
+  rows*cols little-endian IEEE-754 32-bit floats in row-major order, checked
+  finite before they widen to 64-bit on load; saving narrows to 32-bit, so
+  a load/save cycle of a finite dcmx file is byte-exact while float64 data
+  may lose precision on first save.  ``as_float32`` makes every narrowing to
+  float32 (dcmx, the synthetic box, training's input) and refuses a finite
+  value beyond float32's range.
+* CSV: comma-separated finite decimal floats, one sample per line, no header.
 
 A companion label file (same stem, ``.labels.csv``, one integer in
 0..2**63-1 per line) is picked up automatically when present and no other
@@ -97,6 +97,8 @@ def read_dcmx(raw: bytes, offset: int, source: str) -> tuple[np.ndarray, int]:
             f"found {actual}"
         )
     values = np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=start)
+    if not np.all(np.isfinite(values)):  # before widening, which warns on a signaling NaN
+        raise DataFormatError(f"{source}: non-finite feature values")
     return values.astype(np.float64).reshape(rows, cols), start + expected
 
 
@@ -199,8 +201,6 @@ def load(path, labels_file=None) -> Dataset:
     with open(path, "rb") as fh:
         is_dcmx = fh.read(len(_MAGIC)) == _MAGIC
     features = load_dcmx(path) if is_dcmx else load_feature_csv(path)
-    if not np.all(np.isfinite(features)):
-        raise DataFormatError(f"{path}: non-finite feature values")
     labels, label_path = None, labels_path(path, labels_file)
     if label_path is not None:
         labels = load_label_csv(label_path)
@@ -212,43 +212,32 @@ def load(path, labels_file=None) -> Dataset:
 
 
 def normalize(dataset: Dataset, mode: str = "minmax_per_band") -> Dataset:
-    """Per-column rescaling.
+    """Per-column rescaling of finite features (``load`` refuses others).
 
-    minmax maps each column to [0, 1]; zscore to zero mean and unit
-    variance, taking a column whose sums or squares overflow float64 in
-    units of a power of two near its largest magnitude.  Constant columns
-    map to all zeros; minmax spans that overflow raise ValueError naming
-    their columns, counted from 1.  The result is one fresh array: the
-    offset is subtracted into it and the span divided out in place, so no
-    other array of the data's size is held beside it.
+    Each column is divided by the power of two at its largest magnitude,
+    exactly, so no sum or square of it leaves float64's range; minmax then
+    maps it to [0, 1], zscore to zero mean and unit variance, and a column
+    whose min equals its max to zeros.  The scaled data is the one array of
+    the data's size: the offset is subtracted and the span divided in place.
     """
+    if mode not in ("minmax_per_band", "zscore_per_band"):
+        raise ValueError(
+            f"unknown mode {mode!r}, expected 'minmax_per_band' or 'zscore_per_band'"
+        )
     x = dataset.features
-    units = {}  # z-score column -> the unit its statistics are taken in
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        if mode == "minmax_per_band":
-            offset = x.min(axis=0)
-            span = x.max(axis=0) - offset
-        elif mode == "zscore_per_band":
-            offset = x.mean(axis=0)
-            span = x.std(axis=0)
-            for j in np.flatnonzero(~(np.isfinite(offset) & np.isfinite(span))):
-                units[j] = 2.0 ** np.floor(np.log2(np.abs(x[:, j]).max()))
-                column = x[:, j] / units[j]  # one column at a time
-                offset[j], span[j] = column.mean(), column.std()
-        else:
-            raise ValueError(
-                f"unknown mode {mode!r}, expected 'minmax_per_band' or 'zscore_per_band'"
-            )
-    bad = np.flatnonzero(~(np.isfinite(offset) & np.isfinite(span))) + 1
-    if bad.size:
-        raise ValueError(f"{mode}: the statistics of columns {bad.tolist()} overflow float64")
-    safe = np.where(span == 0.0, 1.0, span)
-    scaled = np.subtract(x, offset)
-    for j, unit in units.items():  # written again in its unit
-        np.divide(x[:, j], unit, out=scaled[:, j])
-        scaled[:, j] -= offset[j]
-    scaled /= safe
-    scaled[:, span == 0.0] = 0.0
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    unit = np.ldexp(1.0, np.frexp(np.maximum(-lo, hi))[1] - 1)
+    scaled = np.divide(x, unit)
+    lo, hi = lo / unit, hi / unit
+    constant = lo == hi
+    if mode == "minmax_per_band":
+        scaled -= lo
+        span = hi - lo
+    else:  # a constant column's mean need not be its value; its min is
+        scaled -= np.where(constant, lo, scaled.mean(axis=0))
+        span = np.sqrt(np.einsum("ij,ij->j", scaled, scaled) / x.shape[0])
+    span[constant] = 1.0
+    scaled /= span
     return Dataset(scaled, labels=dataset.labels, mask=dataset.mask)
 
 

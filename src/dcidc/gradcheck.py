@@ -54,12 +54,10 @@ def numeric_gradients(
             gflat[i] = (up - down) / (2.0 * step)
         return grad
 
-    # a step that overflows the loss reads as a non-finite slope, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        return net.Gradients(
-            [probe(w) for w in params.weights],
-            [probe(b) for b in params.biases],
-        )
+    return net.Gradients(
+        [probe(w) for w in params.weights],
+        [probe(b) for b in params.biases],
+    )
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
@@ -99,9 +97,11 @@ def check(
     """(worst relative error, its coordinate) of the analytic gradients,
     which come from one backward pass; that pass consumes a forward trace
     of its own, and the batch itself is never written."""
-    trace = net.forward(params, batch)
-    analytic = net.backward(params, trace, assignments, centers, lambda1, lambda2)
-    numeric = numeric_gradients(
-        params, batch, assignments, centers, lambda1, lambda2, step
-    )
-    return max_relative_error(analytic, numeric)
+    # an overflow in either pass reads as a non-finite error, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = net.forward(params, batch)
+        analytic = net.backward(params, trace, assignments, centers, lambda1, lambda2)
+        numeric = numeric_gradients(
+            params, batch, assignments, centers, lambda1, lambda2, step
+        )
+        return max_relative_error(analytic, numeric)

@@ -346,18 +346,23 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("mode, big", [("minmax", "1e308")])
-    def test_overflowed_normalize_statistics_exit_2(self, tmp_path, capsys, mode, big):
-        """-1e308..1e308 has no finite span; the run exits 2, naming the
-        column, before any directory exists."""
+    def test_minmax_of_overflowing_span_trains(self, tmp_path, monkeypatch):
+        """-1e308..1e308 spans more than float64 holds, yet train gets
+        values in [0, 1] and the run ends with exit 0."""
+        seen = []
+
+        def spy(features, *args, **kwargs):
+            seen.append(features)
+            return train(features, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", spy)
         data = tmp_path / "big.csv"
-        data.write_text(f"0.5,-{big}\n0.25,{big}\n0.75,0\n")
-        out = tmp_path / "run"
-        code = main(["train", "--data", str(data), "--k", "1", "--dims", "2,1",
-                     "--normalize", mode, "--out-dir", str(out)])
-        assert code == 2
-        assert "columns [2] overflow float64" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+        data.write_text("0.5,-1e308\n0.25,1e308\n0.75,0\n")
+        assert main(["train", "--data", str(data), "--k", "1", "--dims", "2,1",
+                     "--epochs", "1", "--normalize", "minmax",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        assert np.all((seen[0] >= 0.0) & (seen[0] <= 1.0))
+        assert np.array_equal(seen[0][:, 1], [0.0, 1.0, 0.5])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zscore_of_overflowing_squares_trains(self, tmp_path, monkeypatch):
@@ -418,6 +423,42 @@ def test_train_on_any_finite_csv_exits_0_or_2_cleanly(tmp_path_factory, matrix, 
                      "--dims", f"{matrix.shape[1]},1", "--epochs", "1",
                      "--normalize", mode, "--out-dir", str(out)])
     assert code == 0 or (code == 2 and sorted(p.name for p in root.iterdir()) == ["m.csv"])
+
+
+FLOAT32_SPECIALS = [0x7FA00000, 0x7FC00000, 0x7F800000, 0xFF800000,  # sNaN, qNaN, +/-inf
+                    0x7F7FFFFF, 0x00000001, 0x807FFFFF]  # FLT_MAX, subnormals
+float32_words = st.one_of(
+    st.sampled_from(FLOAT32_SPECIALS).map(lambda bits: bits.to_bytes(4, "little")),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(
+        lambda value: np.float32(value).astype("<f4").tobytes()),
+)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.one_of(st.just(1), st.integers(0, 2)),
+       st.data(), st.one_of(st.just(0), st.integers(-3, 3)),
+       st.sampled_from(["none", "minmax", "zscore"]))
+@settings(max_examples=100, deadline=None)
+def test_train_on_any_dcmx_bytes_exits_cleanly(tmp_path_factory, rows, cols, version,
+                                               draw, resize, mode):
+    """A dcmx file of 0-4 rows and columns, version byte 0-2, whose float32
+    payload mixes finite values with NaNs, infinities, FLT_MAX and
+    subnormals, cut or padded by 0-3 bytes, trains for one epoch with exit 0,
+    1 or 2; exit 2 leaves neither the run directory nor its staging sibling,
+    and no warning escapes."""
+    words = draw.draw(st.lists(float32_words, min_size=rows * cols, max_size=rows * cols))
+    payload = b"".join(words)
+    payload = payload[:len(payload) + resize] if resize < 0 else payload + bytes(resize)
+    root = tmp_path_factory.mktemp("dcmx")
+    data = root / "m.dcmx"
+    data.write_bytes(b"DCMX" + bytes([version]) + rows.to_bytes(4, "little")
+                     + cols.to_bytes(4, "little") + payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--data", str(data), "--k", "1", "--dims", f"{max(cols, 1)},1",
+                     "--epochs", "1", "--normalize", mode, "--out-dir", str(root / "run")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert sorted(p.name for p in root.iterdir()) == ["m.dcmx"]
 
 
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 3)),
@@ -694,6 +735,11 @@ class TestGradcheck:
     def test_overflowing_step_fails_without_a_warning(self, capsys):
         # every probe's loss overflows; a RuntimeWarning is an error here
         assert main(["gradcheck", "--step", "1e300"]) == 1
+        assert "max relative error nan" in capsys.readouterr().out
+
+    def test_overflowing_analytic_pass_fails_without_a_warning(self, capsys):
+        # lambda1 = 1e308 overflows the analytic backward pass as well
+        assert main(["gradcheck", "--lambda1", "1e308"]) == 1
         assert "max relative error nan" in capsys.readouterr().out
 
     BAD_SETTINGS = {  # (flag, value) -> what stderr must say

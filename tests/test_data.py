@@ -1,9 +1,10 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -61,6 +62,14 @@ class TestDcmx:
         with pytest.raises(DataFormatError, match="trailing"):
             load_dcmx(path)
 
+    def test_signaling_nan_rejected_without_a_warning(self, tmp_path):
+        """Widening the float32 pattern 0x7fa00000 warns, so the stored
+        values are checked before; a RuntimeWarning is an error here."""
+        path = tmp_path / "snan.dcmx"
+        path.write_bytes(dcmx_bytes(np.ones((1, 2)))[:-4] + (0x7FA00000).to_bytes(4, "little"))
+        with pytest.raises(DataFormatError, match="snan.dcmx: non-finite feature values"):
+            load(path)
+
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
     def test_empty_matrix_rejected_naming_file(self, tmp_path, shape):
         path = tmp_path / "empty.dcmx"
@@ -79,8 +88,14 @@ float32_matrices = hnp.arrays(
 @given(float32_matrices)
 @settings(max_examples=60, deadline=None)
 def test_dcmx_roundtrip_exact_property(tmp_path_factory, matrix):
+    """Finite matrices load back bit for bit; one holding +/-inf is written
+    but refused on reading."""
     path = tmp_path_factory.mktemp("dcmx") / "m.dcmx"
     save_dcmx(path, matrix)
+    if not np.all(np.isfinite(matrix)):
+        with pytest.raises(DataFormatError, match="m.dcmx: non-finite feature values"):
+            load_dcmx(path)
+        return
     loaded = load_dcmx(path)
     assert loaded.shape == matrix.shape
     assert np.array_equal(loaded, matrix)
@@ -289,10 +304,15 @@ class TestNormalize:
         out = normalize(ds, "minmax_per_band")
         assert np.array_equal(out.features, [[0.0], [0.5], [1.0]])
 
-    def test_constant_column_maps_to_zero(self):
-        ds = Dataset(np.array([[3.0, 1.0], [3.0, 2.0]]))
-        out = normalize(ds, "minmax_per_band")
-        assert np.array_equal(out.features[:, 0], [0.0, 0.0])
+    @pytest.mark.parametrize("mode", ["minmax_per_band", "zscore_per_band"])
+    def test_constant_column_maps_to_zero(self, mode):
+        """A column whose min equals its max maps to +0.0, even where its
+        mean is not its value (numpy's mean of three 0.1 is not 0.1)."""
+        features = np.array([[3.0, 1.0, 0.1, -5e-324, 1.7976931348623157e308],
+                             [3.0, 2.0, 0.1, -5e-324, 1.7976931348623157e308],
+                             [3.0, 4.0, 0.1, -5e-324, 1.7976931348623157e308]])
+        out = normalize(Dataset(features), mode).features
+        assert np.zeros((3, 4)).tobytes() == np.delete(out, 1, axis=1).tobytes()
 
     def test_zscore_statistics(self):
         rng = np.random.default_rng(9)
@@ -305,20 +325,21 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(Dataset(np.ones((2, 2))), "other")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("mode, big", [("minmax_per_band", 1e308)])
-    def test_overflowed_statistics_rejected_naming_the_column(self, mode, big):
-        """A span of -1e308..1e308 overflows; the column is named, counted
-        from 1, without an overflow warning."""
-        features = np.array([[0.0, 1.0, -big], [1.0, 2.0, big], [2.0, 3.0, big]])
-        with pytest.raises(ValueError, match=re.escape("columns [3] overflow float64")):
-            normalize(Dataset(features), mode)
+    def test_overflowing_minmax_span_taken_in_a_unit(self):
+        """-1e308..1e308 spans more than float64 holds, yet maps to [0, 1]
+        like any column; the other columns keep the bits they get alone."""
+        features = np.array([[0.0, 1.0, -1e308], [1.0, 2.0, 1e308], [2.0, 3.0, 0.0]])
+        out = normalize(Dataset(features), "minmax_per_band").features
+        alone = normalize(Dataset(features[:, :2]), "minmax_per_band").features
+        assert out[:, :2].tobytes() == alone.tobytes()
+        assert np.array_equal(out[:, 2], [0.0, 1.0, 0.5])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("big", [1.4e154, 1e200, 1.7e308])
+    @pytest.mark.parametrize("big", [1.4e154, 1e200, 1.7e308, 1.7976931348623157e308])
     def test_overflowing_zscore_taken_in_a_unit(self, big):
         """The squares of +/-1.4e154 and +/-1e200 and the sum of two 1.7e308
-        overflow float64, but their z-scores are those of -1, 1, 1; the
+        overflow float64, and log2 of float64's largest value rounds to 1024,
+        but their z-scores are those of -1, 1, 1; the
         other columns keep the bits they get alone, with no warning."""
         features = np.array([[0.0, 1.0, -big], [1.0, 2.0, big], [2.0, 3.0, big]])
         out = normalize(Dataset(features), "zscore_per_band").features
@@ -346,6 +367,22 @@ class TestNormalize:
         want = (features - offset) / np.where(span == 0.0, 1.0, span)
         want[:, 3] = 0.0
         assert out.features.tobytes() == want.tobytes()
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=12),
+       st.integers(-1100, 1100), st.sampled_from(["minmax_per_band", "zscore_per_band"]))
+@settings(max_examples=200, deadline=None)
+def test_normalize_ignores_a_power_of_two_scale_property(column, p, mode):
+    """A column and its exact multiple by 2**p, finite, normalize to the same
+    bytes, whatever magnitude the multiple has."""
+    column = np.array(column)
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(column, p)
+    assume(np.all(np.isfinite(scaled)) and np.array_equal(np.ldexp(scaled, -p), column))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = normalize(Dataset(np.column_stack([scaled, column])), mode).features
+    assert out[:, 0].tobytes() == out[:, 1].tobytes()
 
 
 class TestMaskUnlabeled:
