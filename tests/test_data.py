@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -374,14 +373,13 @@ class TestNormalize:
 @settings(max_examples=200, deadline=None)
 def test_normalize_ignores_a_power_of_two_scale_property(column, p, mode):
     """A column and its exact multiple by 2**p, finite, normalize to the same
-    bytes, whatever magnitude the multiple has."""
+    bytes, whatever magnitude the multiple has, with no warning (an error
+    here)."""
     column = np.array(column)
     with np.errstate(over="ignore"):
         scaled = np.ldexp(column, p)
     assume(np.all(np.isfinite(scaled)) and np.array_equal(np.ldexp(scaled, -p), column))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = normalize(Dataset(np.column_stack([scaled, column])), mode).features
+    out = normalize(Dataset(np.column_stack([scaled, column])), mode).features
     assert out[:, 0].tobytes() == out[:, 1].tobytes()
 
 
