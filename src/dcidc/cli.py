@@ -29,7 +29,7 @@ from . import artifacts as art
 from . import autoencoder as net
 from . import clusters, data, gradcheck, metrics
 from .activations import DEFAULT_ACTIVATION, KIND_NAMES, parse_kind
-from .training import DivergenceError, EpochReport, TrainConfig, train
+from .training import DivergenceError, EpochReport, TrainConfig, check_fit, train
 
 
 def _flag_type(convert, expects: str):
@@ -98,23 +98,16 @@ def _prepare(spec: art.RunSpec, check=None):
     ds = data.load(spec.data, spec.labels)
     if spec.mask_unlabeled:
         ds = data.mask_unlabeled(ds)
-    if spec.config.k > ds.n:
-        raise ValueError(f"--k {spec.config.k} is above the {ds.n} rows to train on")
+    dims = net.mirror_dims(spec.dims or net.default_dims(ds.dim, spec.config.k))
+    check_fit(ds.features.shape, dims, spec.config.k)  # train's, before any directory
+    if spec.dims is None and dims[1] > ds.dim:  # the defaults widen when k > d
+        raise ValueError(f"--k {spec.config.k} is above the data's {ds.dim} bands, which "
+                         "the default widths cannot narrow from; give --dims")
     if spec.normalize != "none":  # minmax lies in [0, 1], a z-score within sqrt(n - 1)
         ds = data.normalize(ds, art.NORMALIZE_MODES[spec.normalize])
     else:  # train's float32 check, before any directory exists; train still
         # gets the float64 features, on which the benchmark checks gradients
         data.as_float32(ds.features, spec.data)
-    dims = net.default_dims(ds.dim, spec.config.k) if spec.dims is None else spec.dims
-    if spec.dims is None and dims[1] > ds.dim:  # the defaults widen when k > d
-        raise ValueError(
-            f"--k {spec.config.k} is above the data's {ds.dim} bands, which the "
-            f"default widths cannot narrow from; give --dims"
-        )
-    if dims[0] != ds.dim:
-        raise ValueError(
-            f"--dims starts at {dims[0]} but the data has {ds.dim} features"
-        )
     if spec.map_shape is not None:
         h, w = spec.map_shape
         if h * w != ds.mask.size:
@@ -123,7 +116,7 @@ def _prepare(spec: art.RunSpec, check=None):
             )
     enc = parse_kind(spec.activation)
     dec = None if spec.dec_activation is None else parse_kind(spec.dec_activation)
-    return ds, net.mirror_dims(dims), enc, dec, digests
+    return ds, dims, enc, dec, digests
 
 
 def _fresh_dir(out_dir) -> Path:

@@ -56,12 +56,8 @@ class ClusterState:
 
 
 def init_indicator(n: int, k: int, seed: int) -> np.ndarray:
-    """Random labels in [0, k); the first k samples cover clusters 0..k-1 so
-    no cluster starts empty."""
-    if n < k:
-        raise ValueError(f"cannot assign {n} samples to {k} clusters")
-    if k < 1:
-        raise ValueError(f"cluster count must be >= 1, got {k}")
+    """Random labels in [0, k) for 1 <= k <= n (``training.check_fit``); the
+    first k samples cover clusters 0..k-1 so no cluster starts empty."""
     rng = substream(seed, "h-init")
     labels = np.empty(n, dtype=np.int64)
     labels[:k] = np.arange(k)

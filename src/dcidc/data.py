@@ -70,6 +70,8 @@ def dcmx_bytes(matrix: np.ndarray) -> bytes:
     if matrix.ndim != 2:
         raise ValueError(f"dcmx stores 2-D matrices, got shape {matrix.shape}")
     stored = as_float32(matrix, f"dcmx stores 32-bit floats; the {matrix.shape} matrix")
+    if not np.isfinite(stored).all():  # as read_dcmx refuses them
+        raise ValueError(f"dcmx stores finite values; the {matrix.shape} matrix is not")
     header = _HEADER.pack(_MAGIC, _VERSION, matrix.shape[0], matrix.shape[1])
     return header + stored.astype("<f4", copy=False).tobytes()
 

@@ -119,6 +119,19 @@ def loss_terms(
     return j1 + j2 + j3, j1, j2, j3
 
 
+def check_fit(shape: tuple[int, int], dims: list[int], k: int) -> None:
+    """Raise ValueError unless k clusters fit data of shape (rows, features)
+    on the mirrored widths dims: k at most the rows, dims[0] the features, and
+    k at most the code width + 1, as k centers span k - 1 dimensions."""
+    (n, d), code = shape, dims[len(dims) // 2]
+    if k > n:
+        raise ValueError(f"--k {k} is above the {n} rows to train on")
+    if dims[0] != d:
+        raise ValueError(f"--dims starts at {dims[0]} but the data has {d} features")
+    if k > code + 1:
+        raise ValueError(f"--k {k} is above the code width {code} + 1")
+
+
 def train(
     data: np.ndarray,
     config: TrainConfig,
@@ -132,14 +145,16 @@ def train(
 
     The history always contains an epoch-0 report describing the freshly
     initialized model; epoch e then reflects e completed update steps.
-    Training stops at max_epochs, or earlier once the relative change of
-    j_total stays below config.tol for CONVERGENCE_WINDOW consecutive
-    epochs.  Supplied labels are only ever used for per-epoch accuracy/NMI
-    reporting, never for the optimization itself.
+    A k that ``check_fit`` refuses raises first.  Training stops at
+    max_epochs, or earlier once the relative change of j_total stays below
+    config.tol for CONVERGENCE_WINDOW consecutive epochs.  Supplied labels
+    are only ever used for per-epoch accuracy/NMI reporting, never for the
+    optimization itself.
 
     The autoencoder passes run in float32, on data ``data.as_float32``
     narrows; the parameters, centers, assignment solve and loss sums stay float64.
     """
+    check_fit(np.shape(data), dims, config.k)
     data = as_float32(data, "data")
     if labels is not None:  # once, not per epoch: np.unique sorts
         labels = metrics.dense_labels(labels)

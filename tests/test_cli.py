@@ -396,6 +396,23 @@ class TestTrain:
         assert "--k 10 is above the 9 rows to train on" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["img.csv", "img.labels.csv"]
 
+    def test_k_above_code_width_exits_2_before_any_directory(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """5 centers need 4 code dimensions, so --k 5 on a 2-wide code is
+        refused naming both numbers, before training or any directory."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained")
+
+        blobs = tmp_path / "blobs.dcmx"
+        assert main(["synth", "--out", str(blobs), "--k", "5", "--dim", "8",
+                     "--n-per-cluster", "40", "--seed", "1"]) == 0
+        monkeypatch.setattr(cli, "train", no_training)
+        assert main(["train", "--data", str(blobs), "--k", "5", "--dims", "8,4,2",
+                     "--out-dir", str(tmp_path / "out" / "run")]) == 2
+        assert "--k 5 is above the code width 2 + 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.dcmx",
+                                                              "blobs.labels.csv"]
+
     def test_zero_layer_width_exits_2(self, blob_file, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--data", str(blob_file), "--k", "1", "--dims", "2,0",
@@ -551,6 +568,26 @@ class TestReplay:
         assert main(["replay", str(out / "manifest.json"), "--out-dir", str(copy)]) == 2
         err = capsys.readouterr().err
         assert "blobs.dcmx: fingerprint" in err and "does not match" in err
+        assert not copy.exists()
+
+    def test_k_above_code_width_exits_2_before_any_directory(self, blob_file, tmp_path,
+                                                             capsys, monkeypatch):
+        """A manifest whose k is above its code width + 1 (5 on the 3-wide
+        code of 6,4,3) is refused before training, and no --out-dir is made."""
+        out = tmp_path / "run"
+        assert main(train_args(blob_file, out, "--epochs", "2")) == 0
+        manifest = out / "manifest.json"
+        record = json.loads(manifest.read_text())
+        record["spec"]["config"]["k"] = 5
+        manifest.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        copy = tmp_path / "copy"
+        assert main(["replay", str(manifest), "--out-dir", str(copy)]) == 2
+        assert "--k 5 is above the code width 3 + 1" in capsys.readouterr().err
         assert not copy.exists()
 
     def test_replay_fingerprints_each_input_once(self, blob_file, tmp_path, capsys,
@@ -836,6 +873,7 @@ SWEEP_BAD_INPUT = {  # problem -> what stderr must say
     "equal grid values": "names a cell directory twice",
     "map shape off the image": "the image has 75",
     "k above rows": "--k 61 is above the 60 rows to train on",
+    "k above code width": "--k 5 is above the code width 2 + 1",
     "flag train rejects": "unrecognized arguments: --momentum 0.9",
 }
 
@@ -1014,6 +1052,7 @@ class TestSweep:
                      "equal grid values": ["--grid", "0.3,0.30"],
                      "map shape off the image": ["--map-shape", "5x5"],
                      "k above rows": ["--k", "61", "--dims", "8,4,3"],
+                     "k above code width": ["--k", "5", "--dims", "8,4,2"],
                      "flag train rejects": ["--momentum", "0.9"]}[problem]
 
         def no_training(*args, **kwargs):

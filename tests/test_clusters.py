@@ -42,10 +42,6 @@ class TestInitIndicator:
         assert_labels(h, 5, 2)
         assert np.all(np.bincount(h, minlength=2) >= 1)
 
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            init_indicator(2, 3, seed=0)
-
     @given(st.integers(1, 6), st.integers(0, 40), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_rows_one_hot(self, k, extra, seed):

@@ -61,6 +61,13 @@ class TestDcmx:
         with pytest.raises(DataFormatError, match="trailing"):
             load_dcmx(path)
 
+    def test_nan_refused_on_writing(self, tmp_path):
+        path = tmp_path / "nan.dcmx"
+        with pytest.raises(ValueError, match=re.escape(
+                "dcmx stores finite values; the (1, 2) matrix is not")):
+            save_dcmx(path, np.array([[1.0, np.nan]]))
+        assert not path.exists()
+
     def test_signaling_nan_rejected_without_a_warning(self, tmp_path):
         """Widening the float32 pattern 0x7fa00000 warns, so the stored
         values are checked before; a RuntimeWarning is an error here."""
@@ -77,31 +84,34 @@ class TestDcmx:
             load_dcmx(path)
 
 
-float32_matrices = hnp.arrays(
-    np.float32,
-    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
-    elements=st.floats(width=32, allow_nan=False),
-)
+float32_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
+float32_matrices = hnp.arrays(np.float32, float32_shapes,
+                              elements=st.floats(width=32, allow_nan=False))
+finite_float32_matrices = hnp.arrays(np.float32, float32_shapes,
+                                     elements=st.floats(width=32, allow_nan=False,
+                                                        allow_infinity=False))
 
 
 @given(float32_matrices)
 @settings(max_examples=60, deadline=None)
 def test_dcmx_roundtrip_exact_property(tmp_path_factory, matrix):
-    """Finite matrices load back bit for bit; one holding +/-inf is written
-    but refused on reading."""
+    """Finite matrices load back bit for bit; one holding +/-inf is refused
+    on writing, as on reading, and no file is written."""
     path = tmp_path_factory.mktemp("dcmx") / "m.dcmx"
-    save_dcmx(path, matrix)
     if not np.all(np.isfinite(matrix)):
-        with pytest.raises(DataFormatError, match="m.dcmx: non-finite feature values"):
-            load_dcmx(path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"dcmx stores finite values; the {matrix.shape} matrix is not")):
+            save_dcmx(path, matrix)
+        assert not path.exists()
         return
+    save_dcmx(path, matrix)
     loaded = load_dcmx(path)
     assert loaded.shape == matrix.shape
     assert np.array_equal(loaded, matrix)
     assert dcmx_bytes(loaded) == path.read_bytes()  # signed zeros too
 
 
-@given(float32_matrices, st.data())
+@given(finite_float32_matrices, st.data())
 @settings(max_examples=60, deadline=None)
 def test_dcmx_proper_prefix_rejected_property(tmp_path_factory, matrix, data):
     raw = dcmx_bytes(matrix)
@@ -271,7 +281,7 @@ def test_malformed_input_rejected_naming_file(tmp_path, case):
         companion_label_path(path).write_text("\n\n")
         expected = "f.labels.csv: no labels"
     else:
-        save_dcmx(path, np.array([[1.0, np.nan]]))
+        path.write_bytes(dcmx_bytes(np.ones((1, 2)))[:-4] + (0x7FC00000).to_bytes(4, "little"))
         expected = "f.dcmx: non-finite feature values"
     with pytest.raises(DataFormatError, match=re.escape(expected)):
         load(path)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -192,6 +193,21 @@ class TestTrain:
         data[4, 2] = 1e39
         with pytest.raises(ValueError, match="data: a feature value is beyond float32"):
             train(data, TrainConfig(k=3, max_epochs=3, seed=5), mirror_dims([5, 4, 3]))
+
+    @pytest.mark.parametrize("k, encoder, expected", [
+        (4, [10, 6, 2], "--k 4 is above the code width 2 + 1"),
+        (121, [10, 6, 3], "--k 121 is above the 120 rows to train on"),
+        (3, [8, 6, 3], "--dims starts at 8 but the data has 10 features"),
+    ], ids=["code width", "rows", "input width"])
+    def test_k_that_does_not_fit_raises_before_any_epoch(self, k, encoder, expected):
+        """k above the code width + 1, above the rows, or a net whose input
+        is not the data's width is refused before the first epoch report."""
+        ds = normalize(synth_blobs(40, 3, 10, 6.0, 1.0, seed=7))
+        seen = []
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            train(ds.features, TrainConfig(k=k, max_epochs=3, seed=7),
+                  mirror_dims(encoder), on_epoch=lambda *args: seen.append(args))
+        assert seen == []
 
     def test_minibatch_path_is_deterministic(self):
         ds = small_blobs(5)
